@@ -37,8 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 
 __all__ = [
     "MODELS",
@@ -47,6 +49,7 @@ __all__ = [
     "ModelSelection",
     "resolve_model",
     "record_model_selection",
+    "serve_with_tier",
 ]
 
 #: The selectable evaluation-model tiers.
@@ -163,3 +166,118 @@ def record_model_selection(selection: ModelSelection, n: int = 1) -> ModelSelect
     if selection.rule in ("auto-error-fallback", "auto-build-fallback"):
         obs.inc("rom.fallbacks", n, rule=selection.rule)
     return selection
+
+
+def serve_with_tier(
+    model: str,
+    size: int,
+    n_points: int,
+    build,
+    answer,
+    rerun,
+    error_bound: float | None,
+    span,
+) -> np.ndarray:
+    """Serve one non-full query under the ``model`` tier policy.
+
+    The one home of the ``reduced`` / ``auto`` decision rules
+    (``docs/rom.md``), shared by the scalar and batch transient and AC
+    analyses.  Each analysis passes three callables:
+
+    ``build()``
+        The projection -- a :class:`~repro.rom.prima.ReducedSystem` or
+        a :class:`~repro.rom.prima.ReducedTemplate` -- raising
+        :class:`~repro.errors.SimulationError` when it cannot be built.
+    ``answer(projection, estimates)``
+        ``(states, estimates)``: reduced states with the ``n_points``
+        points on the leading axis and, when ``estimates`` is true,
+        per-point a-posteriori error estimates (else ``None``).
+    ``rerun(mask)``
+        Full-tier states of the points selected by a boolean mask.
+
+    ``model="reduced"`` serves the reduced answer, runs no estimate
+    pass, and propagates every failure.  ``model="auto"`` serves full
+    for systems of at most :data:`ROM_SIZE_CUTOFF` unknowns and when
+    the build fails; otherwise every point whose estimate exceeds
+    ``error_bound`` (default :data:`DEFAULT_ERROR_BOUND`) -- a
+    non-finite answer or a failed reduced solve counts as an infinite
+    estimate -- is rerun on the full tier and merged back.  Each
+    decision is recorded through :func:`record_model_selection` (one
+    count per point), attached to the projection, and annotated on
+    ``span`` (``model``, ``model_rule``, and ``rom_fallbacks`` once
+    ``auto`` has compared estimates).  Returns the states of every
+    point.
+    """
+    bound = DEFAULT_ERROR_BOUND if error_bound is None else float(error_bound)
+    auto = model == "auto"
+
+    def decline(rule: str) -> np.ndarray:
+        record_model_selection(ModelSelection("full", rule, size), n_points)
+        span.set(model="full", model_rule=rule)
+        return rerun(np.ones(n_points, dtype=bool))
+
+    if auto and size <= ROM_SIZE_CUTOFF:
+        return decline("auto-small-system")
+    try:
+        projection = build()
+    except SimulationError:
+        if not auto:
+            raise
+        return decline("auto-build-fallback")
+    rom = getattr(projection, "rom", projection)
+    span.set(n=size, order=rom.order)
+    try:
+        states, estimates = answer(projection, auto)
+    except SimulationError:
+        if not auto:
+            raise
+        states, estimates = None, np.full(n_points, np.inf)
+
+    if not auto:
+        if not np.all(np.isfinite(states)):
+            raise SimulationError(
+                "reduced-tier answer is non-finite; raise rom_order, reduce "
+                "dt, or use model='full'"
+            )
+        rom.selection = record_model_selection(
+            ModelSelection(
+                "reduced", "explicit", size, order=rom.order,
+                error_estimate=rom.moment_error, error_bound=bound,
+            ),
+            n_points,
+        )
+        span.set(model="reduced", model_rule="explicit")
+        return states
+
+    if states is not None:
+        finite = np.isfinite(states).reshape(n_points, -1).all(axis=1)
+        estimates = np.where(finite & np.isfinite(estimates), estimates, np.inf)
+    bad = ~(estimates <= bound)
+    n_bad = int(np.count_nonzero(bad))
+    n_ok = n_points - n_bad
+    if n_ok:
+        rom.selection = record_model_selection(
+            ModelSelection(
+                "reduced", "auto-within-bound", size, order=rom.order,
+                error_estimate=float(np.max(estimates[~bad])), error_bound=bound,
+            ),
+            n_ok,
+        )
+    if n_bad:
+        record_model_selection(
+            ModelSelection(
+                "full", "auto-error-fallback", size, order=rom.order,
+                error_estimate=float(np.max(estimates[bad])), error_bound=bound,
+            ),
+            n_bad,
+        )
+        if n_ok:
+            states[bad] = rerun(bad)
+        else:
+            states = rerun(bad)
+    span.set(
+        model="reduced" if n_ok else "full",
+        model_rule="auto-within-bound" if n_ok else "auto-error-fallback",
+        rom_fallbacks=n_bad,
+    )
+    return states

@@ -28,15 +28,19 @@ Two usage shapes:
   reduced recurrence (:func:`reduced_transient_batch`) integrates every
   point with stacked ``q x q`` operations.
 
+Scalar queries are a batch of one: :meth:`ReducedSystem.transient` and
+:meth:`ReducedSystem.ac` run the same stacked q-space kernels
+(``_batch_recurrence``, ``_ac_batch_solve``) as the template batch
+path, with ``B = 1``.
+
 Every reduced answer carries pinned a-posteriori error evidence: the
 build-time moment-matching defect (:attr:`ReducedSystem.moment_error`),
-the exact frequency-domain residual ``||(G + jwC) V z - b|| / ||b||``
-(:meth:`ReducedSystem.residual_error`), and the nested-suborder
-convergence defect used by the transient paths (basis prefixes stay
-orthonormal, so re-running the recurrence with the weakest trailing
-direction dropped and comparing outputs costs only ``O(q^2)`` per
-point).  ``model="auto"`` callers fall back to full MNA whenever these
-estimates exceed the requested bound.
+the exact per-frequency AC residual ``||(G + jwC) V z - e|| / ||e||``
+(:meth:`ReducedSystem.ac_residuals`), and the nested-suborder
+convergence defect (basis prefixes stay orthonormal, so re-answering
+with the weakest trailing direction dropped and comparing outputs
+costs only ``O(q^2)`` per point).  ``model="auto"`` callers fall back
+to full MNA whenever these estimates exceed the requested bound.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import scipy.linalg
 
 from repro import obs
 from repro.errors import ParameterError, SimulationError
-from repro.spice.backend import SimulationBackend, resolve_backend
+from repro.spice.backend import CooMatrix, SimulationBackend, resolve_backend
 from repro.spice.mna import (
     CircuitTemplate,
     MnaStructure,
@@ -82,10 +86,6 @@ _DEFLATION_TOL = 1e-10
 
 #: Block-moment orders compared in the build-time matching check.
 _MOMENT_CHECK_MAX = 5
-
-#: Probe frequencies used by :meth:`ReducedSystem.residual_error` when
-#: the caller does not supply any.
-_RESIDUAL_PROBES = 4
 
 #: Retained entries in the cross-call projection cache.
 _CACHE_LIMIT = 4
@@ -268,10 +268,8 @@ class ReducedSystem:
         branch_index: dict[str, int],
         source_rows,
         moment_error: float,
-        requested_order: int,
         g_csr,
         c_csr,
-        b_dense: np.ndarray,
         snapshot_enriched: bool = False,
     ) -> None:
         self._basis = basis
@@ -283,10 +281,8 @@ class ReducedSystem:
         self._branch_index = branch_index
         self._source_rows = tuple(source_rows)
         self._moment_error = float(moment_error)
-        self._requested_order = int(requested_order)
         self._g_csr = g_csr
         self._c_csr = c_csr
-        self._b_dense = b_dense
         self._snapshot_enriched = bool(snapshot_enriched)
 
     @property
@@ -387,14 +383,6 @@ class ReducedSystem:
             w[..., s] = np.asarray(waveform(times), dtype=float)
         return w
 
-    def reduced_rhs(self, times: np.ndarray) -> np.ndarray:
-        """Projected source term ``V^T b(t)``, shape ``times.shape + (q,)``.
-
-        Source signs are folded into ``Bq``, so this is just the
-        waveform samples pushed through the projected input map.
-        """
-        return self._source_matrix(times) @ self._bq.T
-
     def transient(
         self,
         t_stop: float,
@@ -407,93 +395,35 @@ class ReducedSystem:
         """Integrate the reduced system on the standard transient grid.
 
         Mirrors :func:`~repro.spice.transient.simulate_transient` --
-        same :func:`~repro.spice.transient._time_grid`, same
-        backward-Euler / trapezoidal companion updates -- but every step
-        is one dense ``q x q`` triangular solve.  ``initial`` accepts
-        ``"dc"`` (reduced operating point), ``"zero"``, or a full
-        ``(n,)`` state vector (projected as ``V^T x0``).  ``order``
-        restricts the solve to a basis prefix (for nested convergence
-        checks).  Returns ``(times, z)`` with ``z`` of shape
-        ``(n_steps + 1, q_used)``.
+        same grid, same backward-Euler / trapezoidal companion updates
+        -- as a batch of one through the stacked q-space recurrence of
+        :func:`reduced_transient_batch`.  ``initial`` accepts ``"dc"``
+        (reduced operating point), ``"zero"``, or a full ``(n,)`` state
+        vector (projected as ``V^T x0``).  ``order`` restricts the solve
+        to a basis prefix (for nested convergence checks).  Returns
+        ``(times, z)`` with ``z`` of shape ``(n_steps + 1, q_used)``.
         """
-        from repro.spice.transient import IntegrationMethod, _time_grid
+        from repro.spice.transient import IntegrationMethod, _lockstep_grid
 
-        method = IntegrationMethod(method)
-        if dt <= 0 or not np.isfinite(dt):
-            raise ParameterError(f"dt must be positive and finite, got {dt}")
-        if t_stop <= t_start:
-            raise ParameterError("t_stop must exceed t_start")
+        trapezoidal = IntegrationMethod(method) is IntegrationMethod.TRAPEZOIDAL
+        _, _, times, dt_eff = _lockstep_grid(t_start, t_stop, dt, 1)
         q = self.order if order is None else int(order)
         if not 1 <= q <= self.order:
             raise ParameterError(
                 f"order must be in [1, {self.order}], got {order!r}"
             )
-        gq = self._gq[:q, :q]
-        cq = self._cq[:q, :q]
-
-        times = _time_grid(t_start, t_stop, dt)
-        n_steps = times.size - 1
-        dt_eff = (t_stop - t_start) / n_steps
-        wq = self.reduced_rhs(times)[:, :q]
-
-        trapezoidal = method is IntegrationMethod.TRAPEZOIDAL
-        weight = (2.0 if trapezoidal else 1.0) / dt_eff
-        lhs = gq + weight * cq
-        hist = weight * cq - (gq if trapezoidal else 0.0)
-
-        z = np.empty((n_steps + 1, q))
-        z[0] = self._initial_state(initial, wq[0], gq, q)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(lhs, check_finite=False)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SimulationError(
-                "singular reduced transient system matrix"
-            ) from exc
-        for k in range(n_steps):
-            rhs = hist @ z[k]
-            rhs += wq[k + 1] + wq[k] if trapezoidal else wq[k + 1]
-            z[k + 1] = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        w = self._source_matrix(times)
+        bq = self._bq[:q]
+        z = _batch_recurrence(
+            self._gq[None, :q, :q], self._cq[None, :q, :q], w @ bq.T, dt_eff,
+            trapezoidal, initial, self._basis, None, source=(w, bq),
+        )[0]
         if not np.all(np.isfinite(z)):
             raise SimulationError(
                 "reduced transient solution diverged (non-finite values); "
                 "reduce dt or fall back to model='full'"
             )
         return times, z
-
-    def _initial_state(self, initial, wq0, gq, q) -> np.ndarray:
-        if isinstance(initial, np.ndarray):
-            if initial.shape != (self.full_size,):
-                raise ParameterError(
-                    f"initial state must have shape ({self.full_size},), "
-                    f"got {initial.shape}"
-                )
-            return self._basis[:, :q].T @ initial.astype(float)
-        if initial == "zero":
-            return np.zeros(q)
-        if initial == "dc":
-            # Least-squares, not a direct solve: a snapshot-enriched
-            # basis can leave the projected DC matrix numerically
-            # rank-deficient even though the DC *solution* in its span
-            # is fine, and the minimum-residual state is exactly the
-            # right operating point there.
-            try:
-                z0 = np.linalg.lstsq(gq, wq0, rcond=1e-10)[0]
-            except np.linalg.LinAlgError as exc:
-                raise SimulationError(
-                    "singular reduced DC system while computing the initial "
-                    "operating point; pass initial='zero' or an explicit state"
-                ) from exc
-            if not np.all(np.isfinite(z0)):
-                raise SimulationError(
-                    "singular reduced DC system while computing the initial "
-                    "operating point; pass initial='zero' or an explicit state"
-                )
-            return z0
-        raise ParameterError(
-            f"initial must be 'zero', 'dc' or a vector, got {initial!r}"
-        )
 
     def projected_unit_rhs(self, input_row: int) -> np.ndarray:
         """Projection ``W^T e_row`` of a unit stimulus at one MNA row.
@@ -514,26 +444,16 @@ class ReducedSystem:
         (the input source's branch row, as in
         :func:`~repro.spice.ac.ac_sweep`); that row's sign-corrected
         basis slice is the exact projection of the unit right-hand
-        side.  Returns the complex reduced states, shape
+        side.  A batch of one through the stacked solve of the template
+        path; returns the complex reduced states, shape
         ``(len(omegas), q_used)``.
         """
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         q = self.order if order is None else int(order)
-        gq = self._gq[:q, :q].astype(complex)
-        cq = self._cq[:q, :q]
-        rhs = np.broadcast_to(
-            self.projected_unit_rhs(input_row)[:q].astype(complex),
-            (omegas.size, q),
-        )
-        lhs = gq[None, :, :] + 1j * omegas[:, None, None] * cq[None, :, :]
-        try:
-            # Trailing singleton keeps the gufunc from reading the
-            # stacked (F, q) right-hand sides as one q-column matrix.
-            return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SimulationError(
-                "singular reduced AC system at a swept frequency"
-            ) from exc
+        vq = self.projected_unit_rhs(input_row)[:q]
+        return _ac_batch_solve(
+            self._gq[None, :q, :q], self._cq[None, :q, :q], vq, omegas
+        )[0]
 
     def reconstruct(self, z: np.ndarray, rows=None) -> np.ndarray:
         """Lift reduced states back to MNA rows: ``x = V[:, :q_used] z``.
@@ -564,54 +484,6 @@ class ReducedSystem:
         resid = (self._g_csr @ x) + 1j * omegas[None, :] * (self._c_csr @ x)
         resid[input_row, :] -= 1.0
         return np.linalg.norm(resid, axis=0)
-
-    def residual_error(self, omegas=None) -> float:
-        """Exact frequency-domain relative residual of the projection.
-
-        Computes ``max_s ||(G + jw C) V z_s - b_s|| / ||b_s||`` over the
-        input columns ``s`` and probe frequencies -- the caller's
-        ``omegas`` (e.g. a subsample of an AC sweep) or, by default,
-        :data:`_RESIDUAL_PROBES` frequencies spanning the magnitude
-        range of the reduced system's own pole estimates.  This is an
-        *exact* a-posteriori bound ingredient: no reference full solve
-        is needed, only sparse matvecs.
-        """
-        if omegas is None:
-            probes = self._probe_frequencies()
-        else:
-            probes = np.atleast_1d(np.asarray(omegas, dtype=float))
-        gq = self._gq.astype(complex)
-        norms = np.linalg.norm(self._b_dense, axis=0)
-        norms = np.where(norms > 0.0, norms, 1.0)
-        worst = 0.0
-        for w in probes:
-            try:
-                zq = np.linalg.solve(gq + 1j * w * self._cq, self._bq)
-            except np.linalg.LinAlgError:
-                return np.inf
-            x = self._basis @ zq
-            resid = self._g_csr @ x + 1j * w * (self._c_csr @ x) - self._b_dense
-            worst = max(worst, float(np.max(np.linalg.norm(resid, axis=0) / norms)))
-        return worst
-
-    def _probe_frequencies(self) -> np.ndarray:
-        """Probe ``omega`` values spanning the reduced pole magnitudes."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                lam = scipy.linalg.eigvals(self._gq, self._cq)
-            except (ValueError, np.linalg.LinAlgError):
-                lam = np.empty(0, dtype=complex)
-        mags = np.abs(lam[np.isfinite(lam)])
-        mags = mags[mags > 0.0]
-        if mags.size == 0:
-            norm_c = float(np.linalg.norm(self._cq))
-            scale = float(np.linalg.norm(self._gq)) / norm_c if norm_c else 1.0
-            return np.asarray([scale])
-        lo, hi = float(mags.min()), float(mags.max())
-        if lo == hi:
-            return np.asarray([lo])
-        return np.geomspace(lo, hi, _RESIDUAL_PROBES)
 
     def __repr__(self) -> str:
         head = (
@@ -741,8 +613,8 @@ def prima_reduce(
             )
         g_csr = system.g_coo.to_csr()
         signs = _row_signs(system.branch_index, n)
-        gq = basis.T @ (signs[:, None] * (g_csr @ basis))
-        cq = basis.T @ (signs[:, None] * (c_csr @ basis))
+        gq = _congruence(system.g_coo, basis, signs)
+        cq = _congruence(system.c_coo, basis, signs)
         bq = basis.T @ (signs[:, None] * b_dense)
 
         with warnings.catch_warnings():
@@ -777,10 +649,8 @@ def prima_reduce(
             branch_index=system.branch_index,
             source_rows=system.source_rows,
             moment_error=moment_error,
-            requested_order=q_req,
             g_csr=g_csr,
             c_csr=c_csr,
-            b_dense=b_dense,
             snapshot_enriched=snapshots is not None,
         )
 
@@ -798,17 +668,35 @@ def _project_plan(
     O(groups * q^2) per-point revaluation in reduced space: the O(nnz)
     projection work happens exactly once here.
     """
-    q = basis.shape[1]
-    if plan.nnz == 0:
-        return np.zeros((q, q)), tuple()
-    vr = signs[plan.rows, None] * basis[plan.rows]
-    vc = basis[plan.cols]
-    const = vr.T @ (plan.const[:, None] * vc)
+    shape = (plan.size, plan.size)
+    const = _congruence(plan.pattern(), basis, signs)
     groups = tuple(
-        (key, vr[idx].T @ (coeffs[:, None] * vc[idx]))
+        (
+            key,
+            _congruence(
+                CooMatrix(plan.rows[idx], plan.cols[idx], coeffs, shape),
+                basis,
+                signs,
+            ),
+        )
         for key, idx, coeffs in plan.groups
     )
     return const, groups
+
+
+def _congruence(
+    matrix: CooMatrix, basis: np.ndarray, signs: np.ndarray
+) -> np.ndarray:
+    """Sign-corrected projection ``V^T D A V`` summed entry by entry.
+
+    :func:`prima_reduce` and :func:`_project_plan` share this one
+    formula, so a concrete system and its structure's constant plan
+    project to bit-identical ``q x q`` matrices and a scalar reduced
+    query agrees with its batch-of-one template counterpart to
+    round-off of the stepping alone.
+    """
+    rows_v = signs[matrix.rows, None] * basis[matrix.rows]
+    return rows_v.T @ (matrix.data[:, None] * basis[matrix.cols])
 
 
 class ReducedTemplate:
@@ -817,7 +705,7 @@ class ReducedTemplate:
     Builds the basis once from the template's structure at a *nominal*
     parameter point (:func:`prima_reduce`), then pre-projects the
     ``G``/``C`` revaluation plans so any other value point's projected
-    matrices come from :meth:`reduce` / :meth:`reduce_many` in
+    matrices come from :meth:`reduce_many` in
     ``O(groups * q^2)`` -- the reduced-tier analogue of
     :meth:`~repro.spice.mna.MnaStructure.revalue`.  The basis is exact
     at the nominal point and approximate elsewhere, so value sweeps
@@ -889,27 +777,6 @@ class ReducedTemplate:
         """Achieved reduced order ``q``."""
         return self._rom.order
 
-    def reduce(self, params: Mapping[str, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Projected ``(Gq, Cq)`` at one parameter point (``q x q`` each)."""
-        params = self._structure._check_params(params)
-
-        def get(name: str) -> np.float64:
-            return np.float64(params[name])
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gq = self._g_const.copy()
-            for key, mat in self._g_groups:
-                gq += float(_key_value(key, get)) * mat
-            cq = self._c_const.copy()
-            for key, mat in self._c_groups:
-                cq += float(_key_value(key, get)) * mat
-        if not (np.isfinite(gq).all() and np.isfinite(cq).all()):
-            raise ParameterError(
-                f"parameter values {params!r} produce non-finite projected "
-                "matrices (zero resistance or non-finite value?)"
-            )
-        return gq, cq
-
     def _batch_columns(self, columns: Mapping[str, np.ndarray]):
         """Validated, broadcast parameter columns: ``(n_points, get)``."""
         cols = {
@@ -970,7 +837,7 @@ class ReducedTemplate:
     def reduce_many(
         self, columns: Mapping[str, np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`reduce`: stacked ``(B, q, q)`` projections.
+        """Projected ``(Gq, Cq)`` of a value batch, stacked ``(B, q, q)``.
 
         ``columns`` maps every structure parameter to a length-``B``
         array (scalars broadcast), exactly like
@@ -1145,7 +1012,7 @@ def _batch_recurrence(
     trapezoidal: bool,
     initial,
     basis: np.ndarray,
-    rec_basis: np.ndarray,
+    rec_basis: np.ndarray | None,
     source: tuple[np.ndarray, np.ndarray] | None = None,
     z0: np.ndarray | None = None,
     overwrite_cq: bool = False,
@@ -1154,7 +1021,8 @@ def _batch_recurrence(
 
     ``gq``/``cq`` are ``(B, q, q)``; ``wq`` is the projected source term
     (``(K+1, q)`` for a shared grid or ``(B, K+1, q)`` per point);
-    ``rec_basis`` is ``V[recorded_rows, :q]``.  Every step is one
+    ``rec_basis`` is ``V[recorded_rows, :q]``, or ``None`` to record
+    the reduced states themselves (``R = q``).  Every step is one
     batched ``q x q`` mat-vec plus two cheap vector updates.  Returns
     the recorded outputs, shape ``(B, K+1, R)``.  ``overwrite_cq``
     lets the lhs assembly reuse ``cq``'s buffer (pass ``True`` only
@@ -1223,11 +1091,12 @@ def _batch_recurrence(
     else:
         wq0 = wq[0] if shared_grid else wq[:, 0]
         z = _batch_initial_reduced(gq, wq0, initial, basis, n_points, q)
-    out = np.empty((n_points, n_steps + 1, rec_basis.shape[0]))
-    out[:, 0] = z @ rec_basis.T
+    width = q if rec_basis is None else rec_basis.shape[0]
+    out = np.empty((n_points, n_steps + 1, width))
+    out[:, 0] = z if rec_basis is None else z @ rec_basis.T
     for k in range(n_steps):
         z = z - fac * np.matmul(step_g, z[:, :, None])[:, :, 0] + step_in[:, :, k]
-        out[:, k + 1] = z @ rec_basis.T
+        out[:, k + 1] = z if rec_basis is None else z @ rec_basis.T
     return out
 
 
@@ -1311,12 +1180,12 @@ def reduced_transient_batch(
     already-validated grid from the caller (``(K+1,)`` shared or
     ``(B, K+1)``); ``rec_rows`` the recorded MNA rows.  Returns
     ``(states, estimates)`` with ``states`` of shape
-    ``(B, K+1, len(rec_rows))`` and ``estimates`` of shape ``(B,)`` --
-    non-finite outputs yield infinite estimates rather than raising, so
-    ``model="auto"`` can fall back per point.  ``estimates=False``
-    (the ``model="reduced"`` fast path, which never falls back) skips
-    the suborder pass and returns ``None`` estimates, halving the
-    per-point integration work.
+    ``(B, K+1, len(rec_rows))`` and ``estimates`` of shape ``(B,)``
+    (see :func:`_suborder_estimates`) -- non-finite outputs yield
+    non-finite estimates rather than raising, so ``model="auto"`` can
+    fall back per point.  ``estimates=False`` (the ``model="reduced"``
+    fast path, which never falls back) skips the suborder pass and
+    returns ``None`` estimates, halving the per-point integration work.
     """
     from repro.spice.transient import IntegrationMethod
 
@@ -1352,31 +1221,60 @@ def reduced_transient_batch(
     )
     if not estimates:
         return states, None
-    # A moment-matched Krylov basis carries its build-time defect into
-    # every query; a snapshot (POD) basis does not target moments at
-    # all, so there the per-point suborder convergence defect is the
-    # whole a-posteriori story.
+
+    def solve(q2: int) -> np.ndarray:
+        return _batch_recurrence(
+            gq[:, :q2, :q2], cq[:, :q2, :q2], wq[..., :q2], dt_eff, trapezoidal,
+            initial, basis, rec_basis[:, :q2], source=(w_samples, bq[:q2]),
+        )
+
+    return states, _suborder_estimates(rom, states, solve)
+
+
+def _suborder_estimates(rom: ReducedSystem, states: np.ndarray, solve) -> np.ndarray:
+    """Per-point a-posteriori estimates of a reduced answer, ``(B,)``.
+
+    The nested-suborder convergence defect ``max |y_q - y_q2| / max
+    |y_q|`` per point, where ``solve(q2)`` re-answers the same query at
+    :meth:`ReducedSystem.suborder` with the leading axis of ``states``
+    indexing points.  A moment-matched Krylov basis also carries its
+    build-time defect into every query and the two fold by maximum; a
+    snapshot (POD) basis does not target moments at all, so there the
+    suborder defect is the whole story.  Non-finite answers give
+    non-finite estimates, which fail every bound.
+    """
     base_error = 0.0 if rom.snapshot_enriched else rom.moment_error
     estimates = np.full(states.shape[0], base_error)
     q2 = rom.suborder()
     if q2 < rom.order:
-        wq2 = wq[..., :q2]
-        states2 = _batch_recurrence(
-            gq[:, :q2, :q2],
-            cq[:, :q2, :q2],
-            wq2,
-            dt_eff,
-            trapezoidal,
-            initial,
-            basis,
-            rec_basis[:, :q2],
-            source=(w_samples, bq[:q2]),
-        )
+        axes = tuple(range(1, states.ndim))
         with np.errstate(invalid="ignore", divide="ignore"):
-            denom = np.max(np.abs(states), axis=(1, 2))
+            denom = np.max(np.abs(states), axis=axes)
             denom = np.where(denom > 0.0, denom, 1.0)
-            defect = np.max(np.abs(states - states2), axis=(1, 2)) / denom
+            defect = np.max(np.abs(states - solve(q2)), axis=axes) / denom
         estimates = np.maximum(estimates, defect)
-    finite = np.all(np.isfinite(states), axis=(1, 2))
-    estimates = np.where(finite, estimates, np.inf)
-    return states, estimates
+    return estimates
+
+
+def _ac_batch_solve(
+    gq: np.ndarray, cq: np.ndarray, vq: np.ndarray, omegas: np.ndarray
+) -> np.ndarray:
+    """Stacked reduced phasor solves, one frequency at a time.
+
+    ``gq``/``cq`` are ``(B, q, q)`` projected matrices, ``vq`` the
+    shared projected stimulus ``(q,)``.  Looping over frequencies keeps
+    the working set at one ``(B, q, q)`` complex block instead of
+    materializing all ``B * F`` systems at once.  Returns reduced
+    states of shape ``(B, F, q)``.
+    """
+    n_points, q = gq.shape[0], gq.shape[1]
+    z = np.empty((n_points, omegas.size, q), dtype=complex)
+    rhs = np.broadcast_to(vq, (n_points, q))[:, :, None]
+    for k, w in enumerate(omegas):
+        try:
+            z[:, k, :] = np.linalg.solve(gq + 1j * w * cq, rhs)[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise SimulationError(
+                f"singular reduced AC system at omega = {w:g}"
+            ) from exc
+    return z

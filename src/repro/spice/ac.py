@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import NetlistError, ParameterError, SimulationError
-from repro.spice.backend import SimulationBackend, resolve_backend
+from repro.spice.backend import CooMatrix, SimulationBackend, resolve_backend
 from repro.spice.mna import CircuitTemplate, MnaStructure, build_mna
 from repro.spice.netlist import Circuit, VoltageSource, canonical_node
 
@@ -114,55 +114,56 @@ def ac_sweep(
         Residual bound the ``"auto"`` tier enforces before serving a
         reduced answer (default
         :data:`repro.rom.model.DEFAULT_ERROR_BOUND`).
+
+    Notes
+    -----
+    The full tier is a batch of one through the phasor kernel of
+    :func:`ac_sweep_batch`.
     """
-    from repro.rom.model import resolve_model
+    from repro.rom.model import resolve_model, serve_with_tier
 
     model = resolve_model(model)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     with obs.span("ac.sweep", frequencies=omegas.size) as sp:
         system = build_mna(circuit)
+        input_row = system.current_row(_resolve_input_source(circuit, input_source))
 
-        input_source = _resolve_input_source(circuit, input_source)
-        input_row = system.current_row(input_source)
-        if model != "full":
-            from repro.rom.model import record_model_selection
-
-            result, selection = _ac_reduced_scalar(
-                system, omegas, input_row, backend,
-                model, rom_order, rom_error_bound,
+        def full(mask):
+            # A batch of one: the rerun mask can only select its point.
+            states, solver, _reuse = _phasor_states(
+                system.combine(), system.g_coo.data[None], system.c_coo.data[None],
+                omegas, input_row, backend, np.arange(system.size),
             )
-            record_model_selection(selection)
-            sp.set(model=selection.model, model_rule=selection.rule)
-            if result is not None:
-                return result
-        b = np.zeros(system.size, dtype=complex)
-        b[input_row] = 1.0
+            sp.set(n=system.size, backend=solver.name)
+            obs.inc("spice.ac.runs")
+            obs.inc("spice.ac.frequencies", omegas.size)
+            return states
 
-        # The sparsity pattern of G + jwC is the same at every frequency;
-        # resolve the backend once on the union pattern, and reuse the
-        # pattern-dependent work (RCM profile, CSC assembly map) across
-        # every frequency point through one PatternFactorizer.
-        pattern = system.combine(1.0, 1.0j)
-        backend = resolve_backend(backend, pattern)
-        factorizer = backend.factorizer(pattern)
-        sp.set(n=system.size, backend=backend.name)
-        obs.inc("spice.ac.runs")
-        obs.inc("spice.ac.frequencies", omegas.size)
-        g_data = system.g_coo.data.astype(complex)
-        c_data = system.c_coo.data
+        def build():
+            from repro import rom
 
-        states = np.empty((omegas.size, system.size), dtype=complex)
-        for k, w in enumerate(omegas):
-            data = np.concatenate([g_data, 1j * w * c_data])
-            try:
-                states[k] = factorizer.refactorize(data).solve(b)
-            except SimulationError as exc:
-                raise SimulationError(
-                    f"singular AC system at omega = {w:g}"
-                ) from exc
+            return rom.prima_reduce(system, order=rom_order, backend=backend)
+
+        def answer(reduced, estimates):
+            # The estimate is the exact relative residual at up to 8
+            # probe frequencies spread across the sweep itself.
+            z = reduced.ac(input_row, omegas)
+            states = reduced.reconstruct(z)[None]
+            if not estimates:
+                return states, None
+            probes = _probe_indices(omegas.size)
+            residuals = reduced.ac_residuals(input_row, omegas[probes], z[probes])
+            return states, np.array([np.max(residuals)])
+
+        if model == "full":
+            states = full(None)
+        else:
+            states = serve_with_tier(
+                model, system.size, 1, build, answer, full, rom_error_bound, sp
+            )
         return AcResult(
             omegas=omegas,
-            states=states,
+            states=states[0],
             node_index=dict(system.node_index),
             branch_index=dict(system.branch_index),
         )
@@ -188,84 +189,6 @@ def _probe_indices(n_freqs: int, limit: int = 8) -> np.ndarray:
     if n_freqs <= limit:
         return np.arange(n_freqs, dtype=np.intp)
     return np.unique(np.linspace(0, n_freqs - 1, limit).astype(np.intp))
-
-
-def _ac_reduced_scalar(
-    system,
-    omegas: np.ndarray,
-    input_row: int,
-    backend,
-    model: str,
-    rom_order: int | None,
-    rom_error_bound: float | None,
-):
-    """Serve one AC sweep from the reduced tier, or decline.
-
-    Returns ``(result, selection)``.  ``result`` is ``None`` when the
-    sweep must run on the full phasor path instead: ``model="auto"``
-    declines for small systems, failed projection builds, or residuals
-    over the bound (all recorded in the selection's rule), while
-    ``model="reduced"`` propagates build/solve errors to the caller.
-    The error estimate is the exact relative residual
-    ``||(G + jw C) V z - e_input||`` evaluated at up to 8 probe
-    frequencies spread across the sweep itself (sparse matvecs only,
-    see :meth:`~repro.rom.prima.ReducedSystem.ac_residuals`).
-    """
-    from repro import rom as rom_pkg
-
-    n = system.size
-    bound = (
-        rom_pkg.DEFAULT_ERROR_BOUND
-        if rom_error_bound is None
-        else float(rom_error_bound)
-    )
-    if model == "auto" and n <= rom_pkg.ROM_SIZE_CUTOFF:
-        return None, rom_pkg.ModelSelection("full", "auto-small-system", n)
-    try:
-        reduced = rom_pkg.prima_reduce(system, order=rom_order, backend=backend)
-    except SimulationError:
-        if model == "auto":
-            return None, rom_pkg.ModelSelection("full", "auto-build-fallback", n)
-        raise
-    try:
-        z = reduced.ac(input_row, omegas)
-        states = reduced.reconstruct(z)
-        probes = _probe_indices(omegas.size)
-        estimate = float(
-            np.max(reduced.ac_residuals(input_row, omegas[probes], z[probes]))
-        )
-        if not np.isfinite(estimate):
-            raise SimulationError(
-                "non-finite reduced AC residual; fall back to model='full'"
-            )
-    except SimulationError:
-        if model == "auto":
-            return None, rom_pkg.ModelSelection(
-                "full", "auto-error-fallback", n, order=reduced.order,
-                error_estimate=float("inf"), error_bound=bound,
-            )
-        raise
-    if model == "auto" and not estimate <= bound:
-        return None, rom_pkg.ModelSelection(
-            "full", "auto-error-fallback", n, order=reduced.order,
-            error_estimate=estimate, error_bound=bound,
-        )
-    selection = rom_pkg.ModelSelection(
-        "reduced",
-        "explicit" if model == "reduced" else "auto-within-bound",
-        n,
-        order=reduced.order,
-        error_estimate=estimate,
-        error_bound=bound,
-    )
-    reduced.selection = selection
-    result = AcResult(
-        omegas=omegas,
-        states=states,
-        node_index=dict(system.node_index),
-        branch_index=dict(system.branch_index),
-    )
-    return result, selection
 
 
 @dataclass(frozen=True)
@@ -376,7 +299,8 @@ def ac_sweep_batch(
         points whose nested-suborder convergence defect exceeds the
         bound are transparently re-run on the full path.
     """
-    from repro.rom.model import resolve_model
+    from repro.rom.model import resolve_model, serve_with_tier
+    from repro.rom.prima import _ac_batch_solve, _suborder_estimates
     from repro.spice.transient import _param_columns, _recorded_rows
 
     if not isinstance(template, CircuitTemplate):
@@ -393,25 +317,58 @@ def ac_sweep_batch(
         input_source = _resolve_input_source(template.circuit, input_source)
         input_row = structure.current_row(input_source)
         rec_rows = _recorded_rows(structure, record)
-        if model != "full":
-            reduced_result = _ac_batch_reduced(
-                structure, columns, n_points, omegas, input_row, backend,
-                rec_rows, model, rom_order, rom_error_bound, sp,
-            )
-            if reduced_result is not None:
-                return reduced_result
 
-        states, backend_name, shared_reuse = _ac_batch_full_states(
-            structure, columns, omegas, input_row, backend, rec_rows
-        )
-        sp.set(n=structure.size, backend=backend_name)
-        obs.inc("spice.ac.batch_runs")
-        obs.inc("spice.ac.batch_points", n_points)
-        obs.observe(
-            "spice.ac.batch_width", n_points, buckets=obs.COUNT_BUCKETS
-        )
-        if shared_reuse:
-            obs.inc("spice.ac.shared_sweep_reuse", shared_reuse)
+        def full(mask):
+            g_data, c_data = structure.revalue_many(
+                {name: col[mask] for name, col in columns.items()}
+            )
+            points = g_data.shape[0]
+            states, solver, shared_reuse = _phasor_states(
+                structure.combined_pattern(), g_data, c_data, omegas,
+                input_row, backend, rec_rows,
+            )
+            sp.set(n=structure.size, backend=solver.name)
+            obs.inc("spice.ac.batch_runs")
+            obs.inc("spice.ac.batch_points", points)
+            obs.observe("spice.ac.batch_width", points, buckets=obs.COUNT_BUCKETS)
+            if shared_reuse:
+                obs.inc("spice.ac.shared_sweep_reuse", shared_reuse)
+            return states
+
+        def build():
+            # Projected at the value box midpoint, Krylov-enriched at its
+            # corners, and cached, so repeated sweeps over one structure
+            # pay the build once.
+            from repro import rom
+
+            nominal, samples = rom.corner_samples(columns)
+            return rom.cached_reduced_template(
+                structure, rom_order, nominal, backend=backend,
+                sample_params=samples,
+            )
+
+        def answer(reduced, estimates):
+            rom = reduced.rom
+            gq, cq = reduced.reduce_many(columns)
+            vq = rom.projected_unit_rhs(input_row)
+            rec_basis = rom.basis[rec_rows]
+
+            def solve(q: int) -> np.ndarray:
+                z = _ac_batch_solve(gq[:, :q, :q], cq[:, :q, :q], vq[:q], omegas)
+                return z @ rec_basis[:, :q].T
+
+            states = solve(rom.order)
+            return states, (
+                _suborder_estimates(rom, states, solve) if estimates else None
+            )
+
+        if model == "full":
+            states = full(np.ones(n_points, dtype=bool))
+        else:
+            states = serve_with_tier(
+                model, structure.size, n_points, build, answer, full,
+                rom_error_bound, sp,
+            )
         return AcBatchResult(
             omegas=omegas,
             states=states,
@@ -420,31 +377,36 @@ def ac_sweep_batch(
         )
 
 
-def _ac_batch_full_states(
-    structure: MnaStructure,
-    columns,
+def _phasor_states(
+    pattern: CooMatrix,
+    g_data: np.ndarray,
+    c_data: np.ndarray,
     omegas: np.ndarray,
     input_row: int,
-    backend,
+    backend: SimulationBackend | str,
     rec_rows: np.ndarray,
-) -> tuple[np.ndarray, str, int]:
-    """Full-MNA per-point AC spectra for one value batch.
+) -> tuple[np.ndarray, SimulationBackend, int]:
+    """Full-tier phasor solves of ``B`` structure-identical points.
 
-    The revalue / per-point phasor loop shared by the ``model="full"``
-    path of :func:`ac_sweep_batch` and the per-point fallback of the
-    ``"auto"`` tier.  Returns ``(states, backend_name, shared_reuse)``
-    with ``states`` of shape ``(B, F, R)``; the shared-sweep reuse
-    count is tallied locally and reported by the caller so the
-    per-point path stays free of instrumentation (OBS001).
+    The one full-tier AC kernel: :func:`ac_sweep` runs it as a batch of
+    one, :func:`ac_sweep_batch` on its revalued points (and on auto-tier
+    fallback points).  ``pattern`` is the ``[G; C]`` union pattern (only
+    its rows/cols are read), so the backend is resolved once and every
+    ``(point, frequency)`` pair pays only a numeric refactorization of
+    ``G + j*omega*C``; points with identical values reuse the first
+    one's spectra.  Returns ``(states, backend, shared_reuse)`` with
+    ``states`` of shape ``(B, F, R)``; the reuse count is tallied
+    locally and reported by the caller so the kernel stays free of
+    instrumentation (OBS001).
     """
-    g_data, c_data = structure.revalue_many(columns)
-    n_points = g_data.shape[0]
-    pattern = structure.combined_pattern()
-    backend = resolve_backend(backend, pattern.scaled(1.0 + 0.0j))
+    from repro.spice.transient import _at_point
+
+    backend = resolve_backend(backend, pattern)
     factorizer = backend.factorizer(pattern)
-    b = np.zeros(structure.size, dtype=complex)
+    b = np.zeros(pattern.shape[0], dtype=complex)
     b[input_row] = 1.0
 
+    n_points = g_data.shape[0]
     states = np.empty((n_points, omegas.size, rec_rows.size), dtype=complex)
     seen: dict[bytes, int] = {}
     shared_reuse = 0
@@ -463,192 +425,7 @@ def _ac_batch_full_states(
                 x = factorizer.refactorize(data).solve(b)
             except SimulationError as exc:
                 raise SimulationError(
-                    f"singular AC system at omega = {w:g} (batch point {j})"
+                    f"singular AC system at omega = {w:g}{_at_point(j, n_points)}"
                 ) from exc
             states[j, k] = x[rec_rows]
-    return states, backend.name, shared_reuse
-
-
-def _ac_batch_solve(
-    gq: np.ndarray, cq: np.ndarray, vq: np.ndarray, omegas: np.ndarray
-) -> np.ndarray:
-    """Stacked reduced phasor solves, one frequency at a time.
-
-    ``gq``/``cq`` are ``(B, q, q)`` projected matrices, ``vq`` the
-    shared projected stimulus ``(q,)``.  Looping over frequencies keeps
-    the working set at one ``(B, q, q)`` complex block instead of
-    materializing all ``B * F`` systems at once.  Returns reduced
-    states of shape ``(B, F, q)``.
-    """
-    n_points, q = gq.shape[0], gq.shape[1]
-    z = np.empty((n_points, omegas.size, q), dtype=complex)
-    rhs = np.broadcast_to(vq, (n_points, q))[:, :, None]
-    for k, w in enumerate(omegas):
-        try:
-            z[:, k, :] = np.linalg.solve(gq + 1j * w * cq, rhs)[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SimulationError(
-                f"singular reduced AC system at omega = {w:g}"
-            ) from exc
-    return z
-
-
-def _ac_batch_reduced(
-    structure: MnaStructure,
-    columns,
-    n_points: int,
-    omegas: np.ndarray,
-    input_row: int,
-    backend,
-    rec_rows: np.ndarray,
-    model: str,
-    rom_order: int | None,
-    rom_error_bound: float | None,
-    sp,
-):
-    """Serve a batched AC sweep from the reduced tier, or decline.
-
-    Returns an :class:`AcBatchResult`, or ``None`` when the whole
-    batch must run on the full path (``model="auto"`` on a small
-    system or after a failed projection build).  The projection comes
-    from :func:`repro.rom.prima.cached_reduced_template` at the value
-    box midpoint, Krylov-enriched at the box corners, so repeated
-    sweeps over one structure pay the build once; per-point projected
-    matrices are ``O(groups * q^2)`` revaluations.  Under
-    ``model="auto"`` each point's nested-suborder convergence defect
-    (folded with the build-time moment error) gates the reduced
-    answer, and points over the bound are transparently re-run through
-    the full phasor loop and merged back.
-    """
-    from repro import rom as rom_pkg
-    from repro.rom.model import record_model_selection
-
-    size = structure.size
-    bound = (
-        rom_pkg.DEFAULT_ERROR_BOUND
-        if rom_error_bound is None
-        else float(rom_error_bound)
-    )
-    if model == "auto" and size <= rom_pkg.ROM_SIZE_CUTOFF:
-        record_model_selection(
-            rom_pkg.ModelSelection("full", "auto-small-system", size), n_points
-        )
-        sp.set(model="full", model_rule="auto-small-system")
-        return None
-
-    nominal, samples = rom_pkg.corner_samples(columns)
-    try:
-        reduced_template = rom_pkg.cached_reduced_template(
-            structure, rom_order, nominal, backend=backend,
-            sample_params=samples,
-        )
-    except SimulationError:
-        if model == "auto":
-            record_model_selection(
-                rom_pkg.ModelSelection("full", "auto-build-fallback", size),
-                n_points,
-            )
-            sp.set(model="full", model_rule="auto-build-fallback")
-            return None
-        raise
-
-    rom = reduced_template.rom
-    q = rom.order
-    gq, cq = reduced_template.reduce_many(columns)
-    vq = rom.projected_unit_rhs(input_row).astype(complex)
-    try:
-        z = _ac_batch_solve(gq, cq, vq, omegas)
-    except SimulationError:
-        if model == "auto":
-            record_model_selection(
-                rom_pkg.ModelSelection(
-                    "full", "auto-error-fallback", size, order=q,
-                    error_estimate=float("inf"), error_bound=bound,
-                ),
-                n_points,
-            )
-            sp.set(model="full", model_rule="auto-error-fallback")
-            return None
-        raise
-    rec_basis = rom.basis[rec_rows]
-    states = z @ rec_basis.T
-    sp.set(n=size, order=q)
-
-    if model == "reduced":
-        if not np.all(np.isfinite(states)):
-            raise SimulationError(
-                "reduced batched AC solution is non-finite; raise rom_order "
-                "or use model='full'"
-            )
-        selection = rom_pkg.ModelSelection(
-            "reduced", "explicit", size, order=q,
-            error_estimate=rom.moment_error, error_bound=bound,
-        )
-        rom.selection = selection
-        record_model_selection(selection, n_points)
-        sp.set(model="reduced", model_rule="explicit")
-        return AcBatchResult(
-            omegas=omegas,
-            states=states,
-            structure=structure,
-            recorded_rows=tuple(int(r) for r in rec_rows),
-        )
-
-    # model == "auto": per-point nested-suborder convergence defect
-    # (re-answering the sweep with the weakest basis direction removed
-    # stays entirely in q-space), folded with the build-time moment
-    # error unless the basis is snapshot-enriched.
-    base_error = 0.0 if rom.snapshot_enriched else rom.moment_error
-    estimates = np.full(n_points, base_error)
-    q2 = rom.suborder()
-    if q2 < q:
-        try:
-            z2 = _ac_batch_solve(
-                gq[:, :q2, :q2], cq[:, :q2, :q2], vq[:q2], omegas
-            )
-            diff = np.max(np.abs(states - z2 @ rec_basis[:, :q2].T), axis=(1, 2))
-            denom = np.max(np.abs(states), axis=(1, 2))
-            defect = diff / np.where(denom > 0.0, denom, 1.0)
-            estimates = np.maximum(estimates, defect)
-        except SimulationError:
-            estimates[:] = np.inf
-    finite = np.all(np.isfinite(states), axis=(1, 2))
-    estimates = np.where(finite, estimates, np.inf)
-
-    bad = ~(estimates <= bound)
-    n_bad = int(np.count_nonzero(bad))
-    n_ok = n_points - n_bad
-    if n_ok:
-        selection = rom_pkg.ModelSelection(
-            "reduced", "auto-within-bound", size, order=q,
-            error_estimate=float(np.max(estimates[~bad])), error_bound=bound,
-        )
-        rom.selection = selection
-        record_model_selection(selection, n_ok)
-    if n_bad:
-        worst = float(np.max(estimates[bad]))
-        record_model_selection(
-            rom_pkg.ModelSelection(
-                "full", "auto-error-fallback", size, order=q,
-                error_estimate=worst, error_bound=bound,
-            ),
-            n_bad,
-        )
-        sub_columns = {name: col[bad] for name, col in columns.items()}
-        full_states, _backend_name, shared_reuse = _ac_batch_full_states(
-            structure, sub_columns, omegas, input_row, backend, rec_rows
-        )
-        states[bad] = full_states
-        if shared_reuse:
-            obs.inc("spice.ac.shared_sweep_reuse", shared_reuse)
-    sp.set(
-        model="reduced" if n_ok else "full",
-        model_rule="auto-within-bound" if n_ok else "auto-error-fallback",
-        rom_fallbacks=n_bad,
-    )
-    return AcBatchResult(
-        omegas=omegas,
-        states=states,
-        structure=structure,
-        recorded_rows=tuple(int(r) for r in rec_rows),
-    )
+    return states, backend, shared_reuse

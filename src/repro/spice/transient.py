@@ -23,7 +23,8 @@ Value-only parameter sweeps should use
 :class:`~repro.spice.mna.CircuitTemplate`, assembles and analyzes the
 structure once, and steps every parameter point in lockstep -- one
 ``(n, B)`` right-hand-side block per time step -- instead of running
-``B`` independent simulations.
+``B`` independent simulations.  :func:`simulate_transient` is the same
+lockstep kernel run as a batch of one.
 
 Time grid
 ---------
@@ -49,7 +50,12 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ParameterError, SimulationError
-from repro.spice.backend import SimulationBackend, _PatternCsr, resolve_backend
+from repro.spice.backend import (
+    CooMatrix,
+    SimulationBackend,
+    _PatternCsr,
+    resolve_backend,
+)
 from repro.spice.mna import CircuitTemplate, MnaStructure, MnaSystem, build_mna
 from repro.spice.netlist import GROUND, Circuit, canonical_node
 from repro.tline.waveform import Waveform
@@ -107,42 +113,53 @@ class TransientResult:
         return self.times.size - 1
 
 
-def _time_grid(t_start: float, t_stop: float, dt: float) -> np.ndarray:
-    """Uniform grid from ``t_start`` to exactly ``t_stop``.
+def _lockstep_grid(t_start: float, t_stop, dt, n_points: int):
+    """Validate a transient span and lay out its lockstep time grid.
 
-    ``dt`` caps the step; the count is ``ceil(span / dt)`` with a
-    one-part-in-1e12 snap so a span that divides ``dt`` up to float
-    round-off keeps its intended step count instead of gaining a
-    near-degenerate extra step.
+    The one validator behind every transient entry point: the scalar
+    and batch analyses and the reduced-tier recurrence.  ``t_stop`` and
+    ``dt`` are scalars or length-``n_points`` arrays.  ``dt`` caps the
+    step: each point's span is cut into ``ceil(span / dt)`` equal steps
+    with a one-part-in-1e12 snap, so a span that divides ``dt`` up to
+    float round-off keeps its intended step count instead of gaining a
+    near-degenerate extra step.  Every point must land on the same step
+    count (lockstep).
+
+    Returns ``(t_stop, dt, times, dt_eff)``: the broadcast ``(B,)``
+    inputs, the grid -- ``(n_steps + 1,)`` when every point shares its
+    ``t_stop``, else one row per point -- and the ``(B,)`` effective
+    steps.
     """
-    span = t_stop - t_start
-    n_steps = max(1, int(np.ceil((span / dt) * (1.0 - 1e-12))))
-    return np.linspace(t_start, t_stop, n_steps + 1)
+    t_stop = np.broadcast_to(np.asarray(t_stop, dtype=float).ravel(), (n_points,))
+    dt = np.broadcast_to(np.asarray(dt, dtype=float).ravel(), (n_points,))
+    if np.any(dt <= 0) or not np.all(np.isfinite(dt)):
+        raise ParameterError(f"dt must be positive and finite, got {dt.tolist()}")
+    if not (np.isfinite(t_start) and np.all(np.isfinite(t_stop))):
+        raise ParameterError(
+            f"t_start and t_stop must be finite, got {t_start} and {t_stop.tolist()}"
+        )
+    if np.any(t_stop <= t_start):
+        raise ParameterError("t_stop must exceed t_start")
+    spans = t_stop - t_start
+    steps = np.maximum(1, np.ceil((spans / dt) * (1.0 - 1e-12)).astype(int))
+    if np.unique(steps).size != 1:
+        raise ParameterError(
+            f"lockstep batch needs one shared step count, got {sorted(set(steps.tolist()))}; "
+            "derive dt from the span (dt = span / n_steps) per point"
+        )
+    n_steps = int(steps[0])
+    if np.all(t_stop == t_stop[0]):
+        times = np.linspace(t_start, float(t_stop[0]), n_steps + 1)
+    else:
+        times = np.stack(
+            [np.linspace(t_start, float(stop), n_steps + 1) for stop in t_stop]
+        )
+    return t_stop, dt, times, spans / n_steps
 
 
-def _initial_state(
-    system: MnaSystem,
-    initial: str | np.ndarray,
-    t0: float,
-    backend: SimulationBackend,
-) -> np.ndarray:
-    if isinstance(initial, np.ndarray):
-        if initial.shape != (system.size,):
-            raise ParameterError(
-                f"initial state must have shape ({system.size},), got {initial.shape}"
-            )
-        return initial.astype(float).copy()
-    if initial == "zero":
-        return np.zeros(system.size)
-    if initial == "dc":
-        try:
-            return backend.factorize(system.g_coo).solve(system.rhs(t0))
-        except SimulationError as exc:
-            raise SimulationError(
-                "singular DC system while computing the initial operating "
-                "point; pass initial='zero' or an explicit state vector"
-            ) from exc
-    raise ParameterError(f"initial must be 'zero', 'dc' or a vector, got {initial!r}")
+def _at_point(j: int, n_points: int) -> str:
+    """Error-message suffix naming a failing batch point (none for B = 1)."""
+    return f" at batch point {j}" if n_points > 1 else ""
 
 
 def simulate_transient(
@@ -203,6 +220,10 @@ def simulate_transient(
 
     Notes
     -----
+    The full tier is a batch of one: the concrete system is assembled
+    with :func:`~repro.spice.mna.build_mna` and stepped by the same
+    lockstep kernel as :func:`simulate_transient_batch`.
+
     For an ideal :class:`~repro.spice.netlist.Step` source delayed at
     ``t = 0`` with ``initial='dc'``, the operating point sees the *pre-step*
     value only if the step is strictly after ``t_start``; a step exactly at
@@ -210,156 +231,58 @@ def simulate_transient(
     the source value at ``t_start``, so place the step one ``dt`` later (or
     start from ``initial='zero'``) to capture the onset.
     """
-    method = IntegrationMethod(method)
-    if dt <= 0 or not np.isfinite(dt):
-        raise ParameterError(f"dt must be positive and finite, got {dt}")
-    if t_stop <= t_start:
-        raise ParameterError("t_stop must exceed t_start")
-    from repro.rom.model import resolve_model
+    from repro.rom.model import resolve_model, serve_with_tier
+    from repro.rom.prima import _suborder_estimates
 
+    method = IntegrationMethod(method)
+    _, _, times, dt_eff = _lockstep_grid(t_start, t_stop, dt, 1)
+    n_steps = times.size - 1
     model = resolve_model(model)
 
     with obs.span("transient.simulate", method=method.value) as sp:
         system = build_mna(circuit)
-        if model != "full":
-            from repro.rom.model import record_model_selection
 
-            result, selection = _transient_reduced_scalar(
-                system, t_stop, dt, method, initial, t_start, backend,
-                model, rom_order, rom_error_bound,
+        def full(mask):
+            # A batch of one: the rerun mask can only select its point.
+            states, solver, _groups = _lockstep_states(
+                system.combine(), system.g_coo, system.source_rows,
+                system.g_coo.data[None], system.c_coo.data[None],
+                times, dt_eff, method, initial, t_start, backend,
+                np.arange(system.size),
             )
-            record_model_selection(selection)
-            sp.set(model=selection.model, model_rule=selection.rule)
-            if result is not None:
-                return result
-        times = _time_grid(t_start, t_stop, dt)
-        n_steps = times.size - 1
-        dt_eff = (t_stop - t_start) / n_steps
+            sp.set(n=system.size, steps=n_steps, backend=solver.name)
+            obs.inc("spice.transient.runs")
+            obs.inc("spice.transient.steps", n_steps)
+            obs.observe(
+                "spice.transient.steps_per_run", n_steps, buckets=obs.COUNT_BUCKETS
+            )
+            return states
 
-        if method is IntegrationMethod.BACKWARD_EULER:
-            lhs = system.combine(1.0, 1.0 / dt_eff)
-            history = system.c_coo.scaled(1.0 / dt_eff)
+        def build():
+            from repro import rom
+
+            return rom.prima_reduce(system, order=rom_order, backend=backend)
+
+        def answer(reduced, estimates):
+            def solve(order=None):
+                _, z = reduced.transient(
+                    t_stop, dt, method=method, initial=initial,
+                    t_start=t_start, order=order,
+                )
+                return reduced.reconstruct(z)[None]
+
+            states = solve()
+            return states, (
+                _suborder_estimates(reduced, states, solve) if estimates else None
+            )
+
+        if model == "full":
+            states = full(None)
         else:
-            lhs = system.combine(1.0, 2.0 / dt_eff)
-            history = system.combine(-1.0, 2.0 / dt_eff)
-
-        backend = resolve_backend(backend, lhs)
-        sp.set(n=system.size, steps=n_steps, backend=backend.name)
-        obs.inc("spice.transient.runs")
-        obs.inc("spice.transient.steps", n_steps)
-        obs.observe(
-            "spice.transient.steps_per_run",
-            n_steps,
-            buckets=obs.COUNT_BUCKETS,
-        )
-        # Factor the stepping matrix before the initial-state solve: the
-        # banded backend memoizes its last RCM profile, and the DC solve's
-        # different G-only pattern would otherwise evict the profile that
-        # resolve_backend("auto") just seeded for the LHS.
-        try:
-            factorization = backend.factorize(lhs)
-        except SimulationError as exc:
-            raise SimulationError(
-                f"singular transient system matrix (backend={backend.name})"
-            ) from exc
-        history_op = history.to_csr()
-
-        x = np.empty((n_steps + 1, system.size))
-        x[0] = _initial_state(system, initial, t_start, backend)
-        b_all = system.rhs_matrix(times)
-
-        if method is IntegrationMethod.BACKWARD_EULER:
-            for k in range(n_steps):
-                rhs = b_all[k + 1] + history_op @ x[k]
-                x[k + 1] = factorization.solve(rhs)
-        else:
-            for k in range(n_steps):
-                rhs = b_all[k + 1] + b_all[k] + history_op @ x[k]
-                x[k + 1] = factorization.solve(rhs)
-
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(
-                "transient solution diverged (non-finite values); reduce dt"
+            states = serve_with_tier(
+                model, system.size, 1, build, answer, full, rom_error_bound, sp
             )
-        return TransientResult(times=times, states=x, system=system)
-
-
-def _transient_reduced_scalar(
-    system: MnaSystem,
-    t_stop: float,
-    dt: float,
-    method: IntegrationMethod,
-    initial,
-    t_start: float,
-    backend,
-    model: str,
-    rom_order: int | None,
-    rom_error_bound: float | None,
-):
-    """Serve one transient query from the reduced tier, or decline.
-
-    Returns ``(result, selection)``.  ``result`` is ``None`` when the
-    query must run on the full path instead: ``model="auto"`` declines
-    for small systems, failed projection builds, or error estimates
-    over the bound (all recorded in the selection's rule), while
-    ``model="reduced"`` propagates build/solve errors to the caller.
-    The error estimate folds the build-time moment defect with the
-    nested-suborder convergence defect of the integrated waveforms.
-    """
-    from repro import rom as rom_pkg
-
-    n = system.size
-    bound = (
-        rom_pkg.DEFAULT_ERROR_BOUND
-        if rom_error_bound is None
-        else float(rom_error_bound)
-    )
-    if model == "auto" and n <= rom_pkg.ROM_SIZE_CUTOFF:
-        return None, rom_pkg.ModelSelection("full", "auto-small-system", n)
-    try:
-        reduced = rom_pkg.prima_reduce(system, order=rom_order, backend=backend)
-    except SimulationError:
-        if model == "auto":
-            return None, rom_pkg.ModelSelection("full", "auto-build-fallback", n)
-        raise
-    try:
-        times, z = reduced.transient(
-            t_stop, dt, method=method, initial=initial, t_start=t_start
-        )
-        states = reduced.reconstruct(z)
-        estimate = reduced.moment_error
-        q2 = reduced.suborder()
-        if q2 < reduced.order:
-            _, z2 = reduced.transient(
-                t_stop, dt, method=method, initial=initial,
-                t_start=t_start, order=q2,
-            )
-            defect = float(np.max(np.abs(states - reduced.reconstruct(z2))))
-            denom = float(np.max(np.abs(states)))
-            estimate = max(estimate, defect / (denom if denom > 0.0 else 1.0))
-    except SimulationError:
-        if model == "auto":
-            return None, rom_pkg.ModelSelection(
-                "full", "auto-error-fallback", n, order=reduced.order,
-                error_estimate=float("inf"), error_bound=bound,
-            )
-        raise
-    if model == "auto" and not estimate <= bound:
-        return None, rom_pkg.ModelSelection(
-            "full", "auto-error-fallback", n, order=reduced.order,
-            error_estimate=estimate, error_bound=bound,
-        )
-    selection = rom_pkg.ModelSelection(
-        "reduced",
-        "explicit" if model == "reduced" else "auto-within-bound",
-        n,
-        order=reduced.order,
-        error_estimate=estimate,
-        error_bound=bound,
-    )
-    reduced.selection = selection
-    result = TransientResult(times=times, states=states, system=system)
-    return result, selection
+        return TransientResult(times=times, states=states[0], system=system)
 
 
 # ---------------------------------------------------------------------------
@@ -561,150 +484,121 @@ def simulate_transient_batch(
     batches to a few dozen points and chunk larger sweeps (the sweep
     runner does this automatically).
     """
+    from repro.rom.model import resolve_model, serve_with_tier
+
     method = IntegrationMethod(method)
     structure, columns, n_points = _param_columns(template, params)
     size = structure.size
-
-    t_stop = np.broadcast_to(
-        np.asarray(t_stop, dtype=float).ravel(), (n_points,)
-    )
-    dt = np.broadcast_to(np.asarray(dt, dtype=float).ravel(), (n_points,))
-    if np.any(dt <= 0) or not np.all(np.isfinite(dt)):
-        raise ParameterError("dt must be positive and finite for every point")
-    if np.any(t_stop <= t_start):
-        raise ParameterError("t_stop must exceed t_start for every point")
-
-    spans = t_stop - t_start
-    steps = np.maximum(
-        1, np.ceil((spans / dt) * (1.0 - 1e-12)).astype(int)
-    )
-    if np.unique(steps).size != 1:
-        raise ParameterError(
-            f"lockstep batch needs one shared step count, got {sorted(set(steps.tolist()))}; "
-            "derive dt from the span (dt = span / n_steps) per point"
-        )
-    n_steps = int(steps[0])
-    dt_eff = spans / n_steps
-    shared_grid = bool(np.all(t_stop == t_stop[0]))
-    if shared_grid:
-        times: np.ndarray = np.linspace(t_start, float(t_stop[0]), n_steps + 1)
-    else:
-        # Per-point grids, built with the same linspace as the scalar
-        # path so batch and per-point runs sample identical instants.
-        times = np.empty((n_points, n_steps + 1))
-        for j in range(n_points):
-            times[j] = np.linspace(t_start, float(t_stop[j]), n_steps + 1)
-
-    from repro.rom.model import resolve_model
-
+    t_stop, dt, times, dt_eff = _lockstep_grid(t_start, t_stop, dt, n_points)
+    n_steps = times.shape[-1] - 1
     model = resolve_model(model)
+    rec_rows = _recorded_rows(structure, record)
+    per_point_initial = (
+        isinstance(initial, np.ndarray) and initial.shape == (n_points, size)
+    )
 
     with obs.span(
         "transient.batch", points=n_points, steps=n_steps, method=method.value
     ) as sp:
-        if model != "full":
-            reduced_result = _transient_batch_reduced(
-                template, structure, columns, n_points, times, dt_eff,
-                t_stop, dt, method, initial, t_start, backend, record,
-                model, rom_order, rom_error_bound, sp,
+
+        def full(mask):
+            g_data, c_data = structure.revalue_many(
+                {name: col[mask] for name, col in columns.items()}
             )
-            if reduced_result is not None:
-                return reduced_result
-        g_data, c_data = structure.revalue_many(columns)
-        pattern = structure.combined_pattern()
-        backend = resolve_backend(backend, pattern)
-        factorizer = backend.factorizer(pattern)
-        sp.set(n=size, backend=backend.name)
-        obs.inc("spice.transient.batch_runs")
-        obs.inc("spice.transient.batch_points", n_points)
-        obs.observe(
-            "spice.transient.batch_width", n_points, buckets=obs.COUNT_BUCKETS
-        )
-        obs.observe(
-            "spice.transient.steps_per_run", n_steps, buckets=obs.COUNT_BUCKETS
-        )
+            points = g_data.shape[0]
+            states, solver, n_groups = _lockstep_states(
+                structure.combined_pattern(), structure.g_pattern(),
+                structure.source_rows, g_data, c_data,
+                times if times.ndim == 1 else times[mask], dt_eff[mask],
+                method, initial[mask] if per_point_initial else initial,
+                t_start, backend, rec_rows,
+            )
+            sp.set(n=size, backend=solver.name, groups=n_groups)
+            obs.inc("spice.transient.batch_runs")
+            obs.inc("spice.transient.batch_points", points)
+            obs.observe(
+                "spice.transient.batch_width", points, buckets=obs.COUNT_BUCKETS
+            )
+            obs.observe(
+                "spice.transient.steps_per_run", n_steps, buckets=obs.COUNT_BUCKETS
+            )
+            obs.inc("spice.transient.factorizations", n_groups)
+            obs.inc("spice.transient.shared_factorization_reuse", points - n_groups)
+            return states
 
-        if method is IntegrationMethod.BACKWARD_EULER:
-            weight = 1.0 / dt_eff
-            g_hist_sign = 0.0
-        else:
-            weight = 2.0 / dt_eff
-            g_hist_sign = -1.0
+        def build():
+            # One basis serves the whole batch: project at the box
+            # midpoint and enrich so accuracy holds across the value
+            # range, not just near one point.  On a shared time grid the
+            # enrichment is POD-style -- full-path transient trajectories
+            # at the box center and corners feed the basis (snapshots
+            # track strongly coupled structures far better per column
+            # than corner Krylov unions) -- and the snapshot collection
+            # cost is paid only on a projection-cache miss.  Per-point
+            # grids keep the corner-Krylov enrichment instead.
+            from repro import rom
 
-        # Structure-identical points with identical values share one
-        # numeric factorization (and one multi-RHS solve per step).
-        group_of: dict[tuple, int] = {}
-        group_members: list[list[int]] = []
-        for j in range(n_points):
-            key = (g_data[j].tobytes(), c_data[j].tobytes(), float(dt_eff[j]))
-            slot = group_of.setdefault(key, len(group_members))
-            if slot == len(group_members):
-                group_members.append([])
-            group_members[slot].append(j)
-
-        csr_map = _PatternCsr(pattern)
-        groups = []
-        for members in group_members:
-            j = members[0]
-            lhs = np.concatenate([g_data[j], weight[j] * c_data[j]])
-            hist = np.concatenate([g_hist_sign * g_data[j], weight[j] * c_data[j]])
-            try:
-                fact = factorizer.refactorize(lhs)
-            except SimulationError as exc:
-                raise SimulationError(
-                    f"singular transient system matrix (backend={backend.name}) "
-                    f"at batch point {j}"
-                ) from exc
-            groups.append((members, fact, csr_map.matrix(hist)))
-        sp.set(groups=len(groups))
-        obs.inc("spice.transient.factorizations", len(groups))
-        obs.inc(
-            "spice.transient.shared_factorization_reuse",
-            n_points - len(groups),
-        )
-
-        # States live as (B, n): each point's vector is one contiguous row.
-        x = _batch_initial_state(
-            structure, g_data, initial, t_start, backend, group_members
-        )
-
-        rec_rows = _recorded_rows(structure, record)
-        states = np.empty((n_points, n_steps + 1, rec_rows.size))
-        states[:, 0, :] = x[:, rec_rows]
-
-        if shared_grid:
-            b_all = _rhs_matrix(structure, times)  # (n_steps + 1, size)
-        else:
-            b_prev = _rhs_rows(structure, times[:, 0])  # (B, size)
-
-        trapezoidal = method is IntegrationMethod.TRAPEZOIDAL
-        for k in range(n_steps):
-            if shared_grid:
-                b_term = b_all[k + 1] + b_all[k] if trapezoidal else b_all[k + 1]
+            nominal, samples = rom.corner_samples(columns)
+            if not samples or times.ndim != 1:
+                return rom.cached_reduced_template(
+                    structure, rom_order, nominal, backend=backend,
+                    sample_params=samples,
+                )
+            if isinstance(initial, np.ndarray):
+                init_tag = ("array", initial.shape, hash(initial.tobytes()))
             else:
-                b_next = _rhs_rows(structure, times[:, k + 1])
-                b_term = b_next + b_prev if trapezoidal else b_next
-                b_prev = b_next
-            x_next = np.empty_like(x)
-            for members, fact, hist_op in groups:
-                if len(members) == 1:
-                    j = members[0]
-                    rhs = hist_op @ x[j]
-                    rhs += b_term if shared_grid else b_term[j]
-                    x_next[j] = fact.solve(rhs)
-                else:
-                    rhs = hist_op @ x[members].T
-                    if shared_grid:
-                        rhs += b_term[:, None]
-                    else:
-                        rhs += b_term[members].T
-                    x_next[members] = fact.solve_many(rhs).T
-            x = x_next
-            states[:, k + 1, :] = x[:, rec_rows]
+                init_tag = initial
+            snapshot_key = (
+                samples, method.value, n_steps, float(t_stop[0]),
+                float(t_start), init_tag,
+            )
 
-        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(x))):
-            raise SimulationError(
-                "batched transient solution diverged (non-finite values); reduce dt"
+            def snapshots():
+                snap_points = [nominal] + [dict(point) for point in samples]
+                cols = {
+                    name: np.asarray([point[name] for point in snap_points])
+                    for name in nominal
+                }
+                result = simulate_transient_batch(
+                    structure,
+                    cols,
+                    float(t_stop[0]),
+                    (float(t_stop[0]) - t_start) / n_steps,
+                    method=method,
+                    initial="dc" if per_point_initial else initial,
+                    t_start=t_start,
+                    backend=backend,
+                    model="full",
+                )
+                snaps = result.states.reshape(-1, size).T
+                if per_point_initial:
+                    # Per-point start states cannot ride along the sample
+                    # trajectories, so a spread of them joins the snapshot
+                    # cloud directly (they are what z0 is projected from).
+                    picks = np.unique(
+                        np.linspace(0, n_points - 1, 32).astype(np.intp)
+                    )
+                    snaps = np.hstack([snaps, initial[picks].T])
+                return snaps
+
+            return rom.cached_reduced_template(
+                structure, rom_order, nominal, backend=backend,
+                snapshot_key=snapshot_key, snapshot_builder=snapshots,
+            )
+
+        def answer(reduced, estimates):
+            from repro import rom
+
+            return rom.reduced_transient_batch(
+                reduced, columns, times, dt_eff, method, initial, rec_rows,
+                estimates=estimates,
+            )
+
+        if model == "full":
+            states = full(np.ones(n_points, dtype=bool))
+        else:
+            states = serve_with_tier(
+                model, size, n_points, build, answer, full, rom_error_bound, sp
             )
         return TransientBatchResult(
             times=times,
@@ -714,227 +608,130 @@ def simulate_transient_batch(
         )
 
 
-def _transient_batch_reduced(
-    template,
-    structure: MnaStructure,
-    columns: dict,
-    n_points: int,
+def _lockstep_states(
+    pattern: CooMatrix,
+    g_pattern: CooMatrix,
+    source_rows,
+    g_data: np.ndarray,
+    c_data: np.ndarray,
     times: np.ndarray,
     dt_eff: np.ndarray,
-    t_stop: np.ndarray,
-    dt: np.ndarray,
     method: IntegrationMethod,
     initial,
     t_start: float,
-    backend,
-    record,
-    model: str,
-    rom_order: int | None,
-    rom_error_bound: float | None,
-    sp,
-):
-    """Serve a lockstep batch from the reduced tier, or decline.
+    backend: SimulationBackend | str,
+    rec_rows: np.ndarray,
+) -> tuple[np.ndarray, SimulationBackend, int]:
+    """Companion-model stepping of ``B`` structure-identical points.
 
-    Returns a :class:`TransientBatchResult`, or ``None`` when the whole
-    batch must run on the full path (``model="auto"`` on a small system
-    or after a failed projection build).  Under ``model="auto"``,
-    individual points whose a-posteriori error estimate exceeds the
-    bound are transparently re-run through
-    :func:`simulate_transient_batch` with ``model="full"`` and merged
-    back, so the caller always receives one result covering every
-    point.  The projection is resolved through
-    :func:`repro.rom.prima.cached_reduced_template`, so chunked sweeps
-    over the same structure pay the Arnoldi build once.
+    The one full-tier transient kernel: :func:`simulate_transient` runs
+    it as a batch of one, :func:`simulate_transient_batch` on its
+    revalued points (and on auto-tier fallback points).  ``pattern`` is
+    the ``[G; C]`` union pattern and ``g_pattern`` the ``G`` pattern
+    (only their rows/cols are read); ``g_data``/``c_data`` hold one row
+    of COO values per point.  Points with identical values and step
+    share one numeric factorization and one multi-RHS solve per step.
+    Returns ``(states, backend, n_groups)`` with ``states`` of shape
+    ``(B, n_steps + 1, len(rec_rows))``; the kernel records no
+    telemetry, its callers do.
     """
-    from repro import rom as rom_pkg
-    from repro.rom.model import record_model_selection
+    size = pattern.shape[0]
+    n_points = g_data.shape[0]
+    n_steps = times.shape[-1] - 1
+    shared_grid = times.ndim == 1
+    backend = resolve_backend(backend, pattern)
+    factorizer = backend.factorizer(pattern)
 
-    size = structure.size
-    bound = (
-        rom_pkg.DEFAULT_ERROR_BOUND
-        if rom_error_bound is None
-        else float(rom_error_bound)
-    )
-    if model == "auto" and size <= rom_pkg.ROM_SIZE_CUTOFF:
-        record_model_selection(
-            rom_pkg.ModelSelection("full", "auto-small-system", size), n_points
-        )
-        sp.set(model="full", model_rule="auto-small-system")
-        return None
+    if method is IntegrationMethod.BACKWARD_EULER:
+        weight = 1.0 / dt_eff
+        g_hist_sign = 0.0
+    else:
+        weight = 2.0 / dt_eff
+        g_hist_sign = -1.0
 
-    # One basis serves the whole batch: project at the box midpoint and
-    # enrich so accuracy holds across the value range, not just near
-    # one point.  On a shared time grid the enrichment is POD-style --
-    # full-path transient trajectories at the box center and corners
-    # feed the basis (snapshots track strongly coupled structures far
-    # better per column than corner Krylov unions) -- and the snapshot
-    # collection cost is paid only on a projection-cache miss.
-    # Per-point grids keep the corner-Krylov enrichment instead.
-    nominal, samples = rom_pkg.corner_samples(columns)
-    sample_params: tuple = samples
-    snapshot_key = None
-    snapshot_builder = None
-    if samples and times.ndim == 1:
-        n_steps = times.shape[0] - 1
-        if isinstance(initial, np.ndarray):
-            init_tag = ("array", initial.shape, hash(initial.tobytes()))
-        else:
-            init_tag = initial
-        snapshot_key = (
-            samples, method.value, n_steps, float(t_stop[0]),
-            float(t_start), init_tag,
-        )
-        sample_params = ()
-        snap_points = [nominal] + [dict(point) for point in samples]
+    group_of: dict[tuple, int] = {}
+    group_members: list[list[int]] = []
+    for j in range(n_points):
+        key = (g_data[j].tobytes(), c_data[j].tobytes(), float(dt_eff[j]))
+        slot = group_of.setdefault(key, len(group_members))
+        if slot == len(group_members):
+            group_members.append([])
+        group_members[slot].append(j)
 
-        def snapshot_builder():
-            cols = {
-                name: np.asarray([point[name] for point in snap_points])
-                for name in nominal
-            }
-            per_point_initial = (
-                isinstance(initial, np.ndarray)
-                and initial.shape == (n_points, size)
-            )
-            result = simulate_transient_batch(
-                structure,
-                cols,
-                float(t_stop[0]),
-                (float(t_stop[0]) - t_start) / n_steps,
-                method=method,
-                initial="dc" if per_point_initial else initial,
-                t_start=t_start,
-                backend=backend,
-                model="full",
-            )
-            snaps = result.states.reshape(-1, size).T
-            if per_point_initial:
-                # Per-point start states cannot ride along the sample
-                # trajectories, so a spread of them joins the snapshot
-                # cloud directly (they are what z0 is projected from).
-                picks = np.unique(
-                    np.linspace(0, n_points - 1, 32).astype(np.intp)
-                )
-                snaps = np.hstack([snaps, initial[picks].T])
-            return snaps
-
-    try:
-        reduced_template = rom_pkg.cached_reduced_template(
-            structure, rom_order, nominal, backend=backend,
-            sample_params=sample_params,
-            snapshot_key=snapshot_key,
-            snapshot_builder=snapshot_builder,
-        )
-    except SimulationError:
-        if model == "auto":
-            record_model_selection(
-                rom_pkg.ModelSelection("full", "auto-build-fallback", size),
-                n_points,
-            )
-            sp.set(model="full", model_rule="auto-build-fallback")
-            return None
-        raise
-
-    rom = reduced_template.rom
-    rec_rows = _recorded_rows(structure, record)
-    states, estimates = rom_pkg.reduced_transient_batch(
-        reduced_template, columns, times, dt_eff, method, initial, rec_rows,
-        estimates=(model == "auto"),
-    )
-    sp.set(n=size, order=rom.order)
-
-    if model == "reduced":
-        if not np.all(np.isfinite(states)):
+    # Factor the stepping matrices before the initial-state solve: the
+    # banded backend memoizes its last RCM profile, and the DC solve's
+    # different G-only pattern would otherwise evict the profile that
+    # resolve_backend("auto") just seeded for the LHS.
+    csr_map = _PatternCsr(pattern)
+    groups = []
+    for members in group_members:
+        j = members[0]
+        lhs = np.concatenate([g_data[j], weight[j] * c_data[j]])
+        hist = np.concatenate([g_hist_sign * g_data[j], weight[j] * c_data[j]])
+        try:
+            fact = factorizer.refactorize(lhs)
+        except SimulationError as exc:
             raise SimulationError(
-                "reduced batched transient solution diverged (non-finite "
-                "values); raise rom_order, reduce dt, or use model='full'"
-            )
-        selection = rom_pkg.ModelSelection(
-            "reduced", "explicit", size, order=rom.order,
-            error_estimate=rom.moment_error, error_bound=bound,
-        )
-        rom.selection = selection
-        record_model_selection(selection, n_points)
-        sp.set(model="reduced", model_rule="explicit")
-        return TransientBatchResult(
-            times=times,
-            states=states,
-            structure=structure,
-            recorded_rows=tuple(int(r) for r in rec_rows),
-        )
+                f"singular transient system matrix (backend={backend.name})"
+                f"{_at_point(j, n_points)}"
+            ) from exc
+        groups.append((members, fact, csr_map.matrix(hist)))
 
-    # model == "auto": points over the bound (or with non-finite
-    # estimates) fall back to the full path individually.
-    bad = ~(estimates <= bound)
-    n_bad = int(np.count_nonzero(bad))
-    n_ok = n_points - n_bad
-    if n_ok:
-        selection = rom_pkg.ModelSelection(
-            "reduced", "auto-within-bound", size, order=rom.order,
-            error_estimate=float(np.max(estimates[~bad])), error_bound=bound,
-        )
-        rom.selection = selection
-        record_model_selection(selection, n_ok)
-    if n_bad:
-        worst = float(np.max(estimates[bad]))
-        record_model_selection(
-            rom_pkg.ModelSelection(
-                "full", "auto-error-fallback", size, order=rom.order,
-                error_estimate=worst, error_bound=bound,
-            ),
-            n_bad,
-        )
-        sub_params = {name: col[bad] for name, col in columns.items()}
-        sub_initial = (
-            initial[bad]
-            if isinstance(initial, np.ndarray)
-            and initial.shape == (n_points, size)
-            else initial
-        )
-        full_result = simulate_transient_batch(
-            structure,
-            sub_params,
-            t_stop[bad],
-            dt[bad],
-            method=method,
-            initial=sub_initial,
-            t_start=t_start,
-            backend=backend,
-            record=record,
-            model="full",
-        )
-        states[bad] = full_result.states
-    sp.set(
-        model="reduced" if n_ok else "full",
-        model_rule="auto-within-bound" if n_ok else "auto-error-fallback",
-        rom_fallbacks=n_bad,
+    # States live as (B, n): each point's vector is one contiguous row.
+    x = _initial_states(
+        g_pattern, source_rows, g_data, initial, t_start, backend, group_members
     )
-    return TransientBatchResult(
-        times=times,
-        states=states,
-        structure=structure,
-        recorded_rows=tuple(int(r) for r in rec_rows),
-    )
+    states = np.empty((n_points, n_steps + 1, rec_rows.size))
+    states[:, 0, :] = x[:, rec_rows]
+
+    if shared_grid:
+        b_all = _rhs_matrix(source_rows, size, times)  # (n_steps + 1, size)
+    else:
+        b_prev = _rhs_matrix(source_rows, size, times[:, 0])  # (B, size)
+
+    trapezoidal = method is IntegrationMethod.TRAPEZOIDAL
+    for k in range(n_steps):
+        if shared_grid:
+            b_term = b_all[k + 1] + b_all[k] if trapezoidal else b_all[k + 1]
+        else:
+            b_next = _rhs_matrix(source_rows, size, times[:, k + 1])
+            b_term = b_next + b_prev if trapezoidal else b_next
+            b_prev = b_next
+        x_next = np.empty_like(x)
+        for members, fact, hist_op in groups:
+            if len(members) == 1:
+                j = members[0]
+                rhs = hist_op @ x[j]
+                rhs += b_term if shared_grid else b_term[j]
+                x_next[j] = fact.solve(rhs)
+            else:
+                rhs = hist_op @ x[members].T
+                if shared_grid:
+                    rhs += b_term[:, None]
+                else:
+                    rhs += b_term[members].T
+                x_next[members] = fact.solve_many(rhs).T
+        x = x_next
+        states[:, k + 1, :] = x[:, rec_rows]
+
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(x))):
+        raise SimulationError(
+            "transient solution diverged (non-finite values); reduce dt"
+        )
+    return states, backend, len(groups)
 
 
-def _rhs_matrix(structure: MnaStructure, times: np.ndarray) -> np.ndarray:
-    """``b(t)`` rows for a shared time grid, shape ``(len(times), size)``."""
-    b = np.zeros((times.size, structure.size))
-    for row, sign, waveform in structure.source_rows:
+def _rhs_matrix(source_rows, size: int, times: np.ndarray) -> np.ndarray:
+    """``b(t)`` rows for an array of times, shape ``(len(times), size)``."""
+    b = np.zeros((times.size, size))
+    for row, sign, waveform in source_rows:
         b[:, row] += sign * np.asarray(waveform(times), dtype=float)
     return b
 
 
-def _rhs_rows(structure: MnaStructure, t_points: np.ndarray) -> np.ndarray:
-    """``b`` at per-point times, one row per point: shape ``(B, size)``."""
-    b = np.zeros((t_points.size, structure.size))
-    for row, sign, waveform in structure.source_rows:
-        b[:, row] += sign * np.asarray(waveform(t_points), dtype=float)
-    return b
-
-
-def _batch_initial_state(
-    structure: MnaStructure,
+def _initial_states(
+    g_pattern: CooMatrix,
+    source_rows,
     g_data: np.ndarray,
     initial,
     t_start: float,
@@ -942,7 +739,7 @@ def _batch_initial_state(
     group_members: list[list[int]],
 ) -> np.ndarray:
     """Per-point start states as a ``(B, n)`` matrix (one row per point)."""
-    size = structure.size
+    size = g_pattern.shape[0]
     n_points = g_data.shape[0]
     if isinstance(initial, np.ndarray):
         if initial.shape == (size,):
@@ -959,9 +756,9 @@ def _batch_initial_state(
         raise ParameterError(
             f"initial must be 'zero', 'dc' or a vector, got {initial!r}"
         )
-    g_factorizer = backend.factorizer(structure.g_pattern())
+    g_factorizer = backend.factorizer(g_pattern)
     b0 = np.zeros(size)
-    for row, sign, waveform in structure.source_rows:
+    for row, sign, waveform in source_rows:
         b0[row] += sign * waveform.value_at(t_start)
     x = np.empty((n_points, size))
     solved: dict[bytes, np.ndarray] = {}
@@ -975,8 +772,8 @@ def _batch_initial_state(
             except SimulationError as exc:
                 raise SimulationError(
                     "singular DC system while computing the initial operating "
-                    f"point of batch point {j}; pass initial='zero' or an "
-                    "explicit state matrix"
+                    f"point{_at_point(j, n_points)}; pass initial='zero' or an "
+                    "explicit state"
                 ) from exc
             solved[key] = x0
         x[members] = x0[None, :]

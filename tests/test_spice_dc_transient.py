@@ -7,8 +7,13 @@ import pytest
 
 from repro.errors import ParameterError, SimulationError
 from repro.spice.dc import dc_operating_point
+from repro.spice.mna import build_mna_structure
 from repro.spice.netlist import Circuit, Step
-from repro.spice.transient import IntegrationMethod, simulate_transient
+from repro.spice.transient import (
+    IntegrationMethod,
+    simulate_transient,
+    simulate_transient_batch,
+)
 
 
 class TestDcOperatingPoint:
@@ -197,6 +202,16 @@ class TestTransientValidation:
     def test_n_steps(self):
         result = simulate_transient(rc_charge_circuit(), 1e-9, 1e-10)
         assert result.n_steps == 10
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("which", ["t_stop", "t_start"])
+    def test_non_finite_span_rejected(self, bad, which):
+        span = {"t_stop": 1e-9, "t_start": 0.0, which: bad}
+        with pytest.raises(ParameterError, match="finite"):
+            simulate_transient(rc_charge_circuit(), dt=1e-11, **span)
+        structure = build_mna_structure(rc_charge_circuit())
+        with pytest.raises(ParameterError, match="finite"):
+            simulate_transient_batch(structure, {}, dt=1e-11, **span)
 
 
 class TestTimeGridClamp:

@@ -14,6 +14,8 @@ Pins the stamp-once / re-value-many machinery against fresh builds:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,56 @@ class TestLadderEquivalence:
             )
             assert np.max(np.abs(batch.states[j] - ref.states)) <= TOL
         np.testing.assert_array_equal(batch.states[3], batch.states[0])
+
+
+    # One path: the scalar entry points are the batch kernels run on a
+    # batch of one, so on the same concrete system they agree exactly.
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+    @pytest.mark.parametrize("initial", ["dc", "zero", "vector"])
+    def test_scalar_transient_is_a_batch_of_one(self, backend, method, initial):
+        spec = LadderSpec(**_random_ladder_params(_rng(5)), n_segments=7)
+        circuit = build_ladder_circuit(spec)
+        structure = build_mna_structure(circuit)
+        if initial == "vector":
+            initial = np.linspace(0.0, 0.5, structure.size)
+        run = dict(
+            t_stop=2e-9, dt=2e-11, method=method, initial=initial, backend=backend
+        )
+        scalar = simulate_transient(circuit, **run)
+        batch = simulate_transient_batch(structure, {}, **run)
+        assert np.array_equal(scalar.times, batch.times)
+        assert np.array_equal(scalar.states, batch.states[0])
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_scalar_ac_is_a_batch_of_one(self, backend):
+        spec = LadderSpec(**_random_ladder_params(_rng(6)), n_segments=7)
+        circuit = build_ladder_circuit(spec)
+        # The concrete ladder with its driver resistance as a unit-scale
+        # slot: revaluing it stamps the very same conductances.
+        template_circuit = Circuit(circuit.title)
+        for element in circuit.elements:
+            if element.name == "rtr":
+                element = replace(element, value=Param("rtr"))
+            template_circuit.add(element)
+        template = CircuitTemplate(template_circuit)
+        omegas = np.geomspace(1e7, 3e10, 12)
+        scalar = ac_sweep(circuit, omegas, backend=backend)
+        batch = ac_sweep_batch(
+            template, [{"rtr": spec.rtr}], omegas, backend=backend
+        )
+        assert np.array_equal(scalar.states, batch.states[0])
+
+    def test_scalar_reduced_transient_is_a_batch_of_one(self):
+        spec = LadderSpec(**_random_ladder_params(_rng(8)), n_segments=100)
+        circuit = build_ladder_circuit(spec)
+        structure = build_mna_structure(circuit)
+        assert structure.size > 256
+        run = dict(t_stop=4e-9, dt=1e-12, model="reduced", rom_order=24)
+        scalar = simulate_transient(circuit, **run)
+        batch = simulate_transient_batch(structure, {}, **run)
+        assert np.max(np.abs(scalar.states - batch.states[0])) <= TOL
 
 
 class TestBusEquivalence:
