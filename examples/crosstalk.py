@@ -20,7 +20,7 @@ Run:  python examples/crosstalk.py
 import os
 
 from repro.analysis.crosstalk import analyze_crosstalk
-from repro.spice.coupled import CoupledLadderSpec
+from repro.bus import BusSpec
 from repro.technology.nodes import node_by_name
 from repro.technology.parasitics import coupling_capacitance_per_length
 from repro.units import format_si
@@ -56,14 +56,14 @@ def main() -> None:
     for spacing_um in (0.6, 4.0) if FAST else (0.6, 1.0, 2.0, 4.0):
         spacing = spacing_um * 1e-6
         cct, km = coupling_for_spacing(node, spacing, length)
-        spec = CoupledLadderSpec(
+        spec = BusSpec(
+            n_lines=2,
             rt=r * length,
             lt=l * length,
             ct=c * length,
             cct=cct,
             km=km,
-            rtr_aggressor=driver,
-            rtr_victim=driver,
+            rtr=driver,
             cl=node.c0 * 150.0,
             n_segments=10 if FAST else 24,
         )

@@ -152,8 +152,10 @@ class BusWaveforms:
 def _default_window(spec: BusSpec) -> float:
     """Simulated span: 12x the slowest RC / flight scale over the lines.
 
-    Mirrors :func:`repro.analysis.crosstalk.analyze_crosstalk`; the
-    coupling capacitance (up to two switching neighbors) is charged
+    The N-line form of the pair window in
+    :func:`repro.analysis.crosstalk.analyze_crosstalk`, which keeps its
+    own one-neighbor formula (line 0 only, one ``cct``); here the
+    coupling capacitance of up to two switching neighbors is charged
     through the same driver, so it joins the RC scale.
     """
     scales = []

@@ -16,9 +16,12 @@ Two classic phenomena on neighboring inductive wires:
   the even mode (slower) -- the opposite ordering, and one more way RC
   intuition fails exactly where this paper says it does.
 
-Everything is measured by full MNA transient simulation of the coupled
-PI ladder of :mod:`repro.spice.coupled` -- a workload that exercises
-every substrate element (mutual inductance included) end to end.
+The pair is a two-line :class:`~repro.bus.spec.BusSpec` (line 0 the
+aggressor, line 1 the victim; unequal drivers are ``rtr=(aggressor,
+victim)``).  Everything is measured by full MNA transient simulation of
+its coupled PI ladders through :func:`~repro.analysis.bus.simulate_bus`
+-- a workload that exercises every substrate element (mutual inductance
+included) end to end.
 """
 
 from __future__ import annotations
@@ -28,14 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.bus import simulate_bus
+from repro.bus.spec import BusSpec, LineSwitch
 from repro.errors import ParameterError
-from repro.spice.coupled import (
-    CoupledLadderSpec,
-    VictimMode,
-    build_coupled_ladder_circuit,
-)
-from repro.spice.transient import simulate_transient
-from repro.tline.waveform import Waveform
 
 __all__ = ["CrosstalkReport", "analyze_crosstalk"]
 
@@ -75,23 +73,8 @@ class CrosstalkReport:
         return max(self.victim_peak_noise, abs(self.victim_min_noise))
 
 
-def _simulate(
-    spec: CoupledLadderSpec,
-    mode: VictimMode,
-    window: float,
-    dt: float,
-    backend: str = "auto",
-):
-    circuit = build_coupled_ladder_circuit(spec, mode=mode)
-    result = simulate_transient(circuit, t_stop=window, dt=dt, backend=backend)
-    return (
-        result.voltage(spec.aggressor_output),
-        result.voltage(spec.victim_output),
-    )
-
-
 def analyze_crosstalk(
-    spec: CoupledLadderSpec,
+    spec: BusSpec,
     window: float | None = None,
     dt: float | None = None,
     backend: str = "auto",
@@ -101,7 +84,8 @@ def analyze_crosstalk(
     Parameters
     ----------
     spec:
-        The coupled-line instance.
+        The coupled pair: a two-line bus, line 0 the aggressor and
+        line 1 the victim.
     window:
         Simulated span (defaults to 12x the slower of the RC and flight
         time scales of one line).
@@ -112,34 +96,31 @@ def analyze_crosstalk(
         :mod:`repro.spice.backend`); long coupled ladders benefit from
         the sparse path.
 
-    >>> spec = CoupledLadderSpec(rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12,
-    ...     km=0.5, rtr_aggressor=50.0, rtr_victim=50.0, cl=5e-14,
-    ...     n_segments=16)
+    >>> spec = BusSpec(n_lines=2, rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12,
+    ...     km=0.5, rtr=50.0, cl=5e-14, n_segments=16)
     >>> report = analyze_crosstalk(spec)
     >>> report.worst_noise_magnitude > 0.05
     True
     """
+    if spec.n_lines != 2:
+        raise ParameterError(
+            f"analyze_crosstalk needs a two-line bus, got n_lines={spec.n_lines}"
+        )
     if window is None:
-        rc_scale = (spec.rtr_aggressor + spec.rt) * (spec.ct + spec.cct + spec.cl)
-        flight = math.sqrt(spec.lt * (spec.ct + spec.cct))
+        rc_scale = (spec.rtr[0] + spec.rt[0]) * (spec.ct[0] + spec.cct + spec.cl[0])
+        flight = math.sqrt(spec.lt[0] * (spec.ct[0] + spec.cct))
         window = 12.0 * max(rc_scale, flight)
-    if dt is None:
-        dt = window / 6000.0
-    if window <= 0 or dt <= 0:
-        raise ParameterError("window and dt must be positive")
-
-    agg_quiet, victim_quiet = _simulate(spec, VictimMode.QUIET, window, dt, backend)
-    agg_even, _ = _simulate(spec, VictimMode.EVEN, window, dt, backend)
-    agg_odd, _ = _simulate(spec, VictimMode.ODD, window, dt, backend)
-
-    return CrosstalkReport(
-        victim_peak_noise=float(np.max(victim_quiet.values)),
-        victim_min_noise=float(np.min(victim_quiet.values)),
-        aggressor_delay_quiet=_delay(agg_quiet),
-        aggressor_delay_even=_delay(agg_even),
-        aggressor_delay_odd=_delay(agg_odd),
+    quiet, even, odd = (
+        simulate_bus(
+            spec, (LineSwitch.RISE, victim), window=window, dt=dt, backend=backend
+        )
+        for victim in (LineSwitch.QUIET, LineSwitch.RISE, LineSwitch.FALL)
     )
-
-
-def _delay(waveform: Waveform) -> float:
-    return waveform.delay_50(v_final=1.0)
+    victim_quiet = quiet.voltages[:, 1]
+    return CrosstalkReport(
+        victim_peak_noise=float(np.max(victim_quiet)),
+        victim_min_noise=float(np.min(victim_quiet)),
+        aggressor_delay_quiet=quiet.waveform(0).delay_50(v_final=1.0),
+        aggressor_delay_even=even.waveform(0).delay_50(v_final=1.0),
+        aggressor_delay_odd=odd.waveform(0).delay_50(v_final=1.0),
+    )

@@ -31,6 +31,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import ParameterError, require_nonnegative, require_positive
 
 __all__ = [
@@ -120,12 +122,20 @@ def _check_line(index: int, n_lines: int) -> int:
     return index
 
 
+def _unwrap(value):
+    """A NumPy scalar or 0-d array as its Python scalar; else ``value``."""
+    if isinstance(value, (np.generic, np.ndarray)) and value.ndim == 0:
+        return value.item()
+    return value
+
+
 def _per_line(name: str, value, n_lines: int, *, positive: bool) -> tuple[float, ...]:
     """Broadcast a scalar (or validate a length-``n_lines`` sequence)."""
     check = require_positive if positive else require_nonnegative
-    if isinstance(value, (int, float)):
+    value = _unwrap(value)
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
         return (check(name, value),) * n_lines
-    values = tuple(value)
+    values = tuple(_unwrap(v) for v in value)
     if len(values) != n_lines:
         raise ParameterError(
             f"{name} must be a scalar or length-{n_lines} sequence, "
@@ -337,10 +347,6 @@ class BusSpec:
     def slot_prefix(self, slot: int) -> str:
         """Canonical node-name prefix for physical slot ``slot``."""
         return f"b{slot}_"
-
-    def input_node(self, line: int) -> str:
-        """Near-end (driver-side) node name of signal line ``line``."""
-        return f"{self.slot_prefix(self.slot_of_line(line))}0"
 
     def output_node(self, line: int) -> str:
         """Far-end node name of signal line ``line``."""

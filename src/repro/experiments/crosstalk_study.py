@@ -12,8 +12,8 @@ simulates noise and switching-window metrics with the full MNA engine
 from __future__ import annotations
 
 from repro.analysis.crosstalk import analyze_crosstalk
+from repro.bus import BusSpec
 from repro.experiments.common import ExperimentTable, render_table
-from repro.spice.coupled import CoupledLadderSpec
 from repro.technology.nodes import node_by_name
 from repro.technology.parasitics import coupling_capacitance_per_length
 
@@ -41,14 +41,14 @@ def run(
         ) * length
         pitch = spacing + geometry.width
         km = 0.6 / (1.0 + pitch / (4.0 * geometry.width))
-        spec = CoupledLadderSpec(
+        spec = BusSpec(
+            n_lines=2,
             rt=r * length,
             lt=l * length,
             ct=c * length,
             cct=cct,
             km=km,
-            rtr_aggressor=driver,
-            rtr_victim=driver,
+            rtr=driver,
             cl=node.c0 * driver_size,
             n_segments=n_segments,
         )

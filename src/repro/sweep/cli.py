@@ -315,8 +315,11 @@ def _run_netlist_sweep(args: argparse.Namespace) -> int:
             f"{', '.join(parsed.circuit.node_names())}"
         )
 
-    n_samples = args.n_samples or 2000
-    window = args.window or 1.0
+    n_samples = 2000 if args.n_samples is None else args.n_samples
+    window = 1.0 if args.window is None else args.window
+    for flag, value in (("--n-samples", n_samples), ("--window", window)):
+        if not value > 0:
+            raise ReproError(f"{flag} must be positive, got {value}")
     t_stops = np.empty(grid.size)
     for i, point in enumerate(grid.points()):
         t_stop_i, _ = suggest_transient_window(

@@ -24,11 +24,6 @@ from repro.bus import (
     solo_pattern,
 )
 from repro.errors import ParameterError
-from repro.spice.coupled import (
-    CoupledLadderSpec,
-    VictimMode,
-    build_coupled_ladder_circuit,
-)
 from repro.spice.netlist import Circuit, Step
 from repro.spice.transient import simulate_transient
 
@@ -90,6 +85,23 @@ class TestBusSpec:
         )
         assert spec.rt == (100.0, 200.0)
         assert spec.rtr == (50.0, 25.0)
+
+    def test_numpy_scalars(self):
+        numpy_spec = BusSpec(
+            n_lines=2,
+            **{
+                **SPEC3,
+                "rt": np.int64(100),
+                "lt": np.float64(25e-9),
+                "rtr": np.float32(50.0),
+                "cl": (np.float32(0.0), np.array(5e-14)),
+            },
+        )
+        plain = BusSpec(n_lines=2, **{**SPEC3, "cl": (0.0, 5e-14)})
+        assert numpy_spec == plain
+        for bad in ("100", True, np.bool_(True)):
+            with pytest.raises(ParameterError):
+                BusSpec(n_lines=2, **{**SPEC3, "rt": bad})
 
     def test_sequence_length_mismatch(self):
         with pytest.raises(ParameterError):
@@ -164,28 +176,38 @@ class TestBusSpec:
         assert k2 == pytest.approx(0.5 * SPEC3["km"])
 
 
+#: The pair's victim behaviours as two-line patterns (aggressor rises).
+PAIR_PATTERNS = {
+    "quiet": (LineSwitch.RISE, LineSwitch.QUIET),
+    "even": (LineSwitch.RISE, LineSwitch.RISE),
+    "odd": (LineSwitch.RISE, LineSwitch.FALL),
+}
+
+
 def _legacy_coupled_circuit(
-    spec: CoupledLadderSpec, mode: VictimMode, v_step: float = 1.0
+    spec: BusSpec, mode: str, v_step: float = 1.0
 ) -> Circuit:
     """The pre-bus two-line builder, frozen here as the reference.
 
-    Copied verbatim from the original ``repro.spice.coupled`` so the
-    bus-based reimplementation is pinned to the historical netlist.
+    Copied from the original coupled-pair module (node names ``a{i}`` /
+    ``v{i}``; line 0 the aggressor, line 1 the victim) so the bus
+    builder stays pinned to the historical netlist.
     """
     n = spec.n_segments
+    rt, lt, ct, cl = spec.rt[0], spec.lt[0], spec.ct[0], spec.cl[0]
     ckt = Circuit("legacy coupled pair")
     ckt.add_voltage_source("vina", "ina", "0", Step(0.0, v_step))
-    ckt.add_resistor("rtra", "ina", "a0", spec.rtr_aggressor)
-    if mode is VictimMode.QUIET:
+    ckt.add_resistor("rtra", "ina", "a0", spec.rtr[0])
+    if mode == "quiet":
         victim_wave = Step(0.0, 0.0)
-    elif mode is VictimMode.EVEN:
+    elif mode == "even":
         victim_wave = Step(0.0, v_step)
     else:
         victim_wave = Step(v_step, 0.0)
     ckt.add_voltage_source("vinv", "inv", "0", victim_wave)
-    ckt.add_resistor("rtrv", "inv", "v0", spec.rtr_victim)
-    r_seg, l_seg = spec.rt / n, spec.lt / n
-    c_seg, cc_seg = spec.ct / n, spec.cct / n
+    ckt.add_resistor("rtrv", "inv", "v0", spec.rtr[1])
+    r_seg, l_seg = rt / n, lt / n
+    c_seg, cc_seg = ct / n, spec.cct / n
     for prefix in ("a", "v"):
         for i in range(n):
             ckt.add_resistor(
@@ -201,66 +223,63 @@ def _legacy_coupled_circuit(
             ckt.add_capacitor(f"cg{prefix}{i}", f"{prefix}{i}", "0", w * c_seg)
         if spec.cct > 0:
             ckt.add_capacitor(f"cc{i}", f"a{i}", f"v{i}", w * cc_seg)
-    if spec.cl > 0:
-        ckt.add_capacitor("cla", spec.aggressor_output, "0", spec.cl)
-        ckt.add_capacitor("clv", spec.victim_output, "0", spec.cl)
+    if cl > 0:
+        ckt.add_capacitor("cla", f"a{n}", "0", cl)
+        ckt.add_capacitor("clv", f"v{n}", "0", cl)
     if spec.km > 0:
         for i in range(1, n + 1):
             ckt.add_mutual_inductance(f"k{i}", f"la{i}", f"lv{i}", spec.km)
     return ckt
 
 
+def _legacy_node(node: str) -> str:
+    """Bus node name of a legacy pair node: ``a``/``v`` -> ``b0_``/``b1_``."""
+    for legacy, bus in (("a", "b0_"), ("v", "b1_")):
+        if node.startswith(legacy):
+            return bus + node[1:]
+        if node.startswith("x" + legacy):
+            return "x" + bus + node[2:]
+    return {"ina": "inb0_", "inv": "inb1_"}[node]
+
+
 class TestLegacyAgreement:
     """The bus builder must reproduce the historical two-line netlist."""
 
-    SPEC = CoupledLadderSpec(
-        rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
-        rtr_aggressor=50.0, rtr_victim=80.0, cl=5e-14, n_segments=6,
+    SPEC = BusSpec(
+        n_lines=2, rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
+        rtr=(50.0, 80.0), cl=5e-14, n_segments=6,
     )
 
-    @pytest.mark.parametrize("mode", list(VictimMode))
+    @pytest.mark.parametrize("mode", list(PAIR_PATTERNS))
     def test_states_match_legacy_path(self, mode):
         window, dt = 2e-9, 1e-12
         new = simulate_transient(
-            build_coupled_ladder_circuit(self.SPEC, mode=mode),
+            build_bus_circuit(self.SPEC, PAIR_PATTERNS[mode]),
             t_stop=window, dt=dt, backend="dense",
         )
         old = simulate_transient(
             _legacy_coupled_circuit(self.SPEC, mode),
             t_stop=window, dt=dt, backend="dense",
         )
-        new_nodes = set(new.system.node_index)
         old_nodes = set(old.system.node_index)
-        assert new_nodes == old_nodes
+        assert set(new.system.node_index) == {
+            _legacy_node(node) for node in old_nodes
+        }
         scale = float(np.max(np.abs(old.states)))
         worst = 0.0
         for node in old_nodes:
-            va = new.states[:, new.system.voltage_row(node)]
+            va = new.states[:, new.system.voltage_row(_legacy_node(node))]
             vb = old.states[:, old.system.voltage_row(node)]
             worst = max(worst, float(np.max(np.abs(va - vb))) / scale)
         assert worst <= 1e-9
 
     def test_output_node_names_preserved(self):
-        ckt = build_coupled_ladder_circuit(self.SPEC)
-        nodes = set(ckt.node_names())
-        assert self.SPEC.aggressor_output in nodes
-        assert self.SPEC.victim_output in nodes
-
-    def test_as_bus_spec(self):
-        bus = self.SPEC.as_bus_spec()
-        assert bus.n_lines == 2
-        assert bus.rtr == (50.0, 80.0)
-        assert bus.cct == self.SPEC.cct and bus.km == self.SPEC.km
+        nodes = set(build_bus_circuit(self.SPEC).node_names())
+        assert self.SPEC.output_node(0) in nodes
+        assert self.SPEC.output_node(1) in nodes
 
 
 class TestBuilder:
-    def test_prefix_validation(self):
-        spec = BusSpec(n_lines=2, **SPEC3)
-        with pytest.raises(ParameterError):
-            build_bus_circuit(spec, prefixes=("a",))
-        with pytest.raises(ParameterError):
-            build_bus_circuit(spec, prefixes=("a", "a"))
-
     def test_shield_elements_present(self):
         spec = BusSpec(n_lines=2, **SPEC3, shields=(1,))
         ckt = build_bus_circuit(spec)
@@ -351,16 +370,16 @@ class TestAnalyzeBus:
             analyze_bus(spec, victim=3)
 
     def test_two_line_matches_crosstalk_report(self):
-        """The 2-line bus must agree with the legacy pair analysis."""
+        """The 2-line bus must agree with the pair analysis."""
         from repro.analysis.crosstalk import analyze_crosstalk
 
-        pair = CoupledLadderSpec(
-            rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
-            rtr_aggressor=50.0, rtr_victim=50.0, cl=5e-14, n_segments=6,
+        pair = BusSpec(
+            n_lines=2, rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
+            rtr=50.0, cl=5e-14, n_segments=6,
         )
         window, dt = 6e-9, 1.5e-12
         legacy = analyze_crosstalk(pair, window=window, dt=dt)
-        report = analyze_bus(pair.as_bus_spec(), victim=0, window=window, dt=dt)
+        report = analyze_bus(pair, victim=0, window=window, dt=dt)
         # Identical circuits on an identical grid: the victim-0 even/odd
         # delays are the legacy aggressor delays under the same modes.
         assert report.delay_even == pytest.approx(

@@ -1,4 +1,7 @@
-"""Tests for repro.spice.coupled and repro.analysis.crosstalk."""
+"""Tests for the coupled pair: a two-line bus and repro.analysis.crosstalk.
+
+Line 0 is the aggressor, line 1 the victim.
+"""
 
 from __future__ import annotations
 
@@ -6,30 +9,33 @@ import numpy as np
 import pytest
 
 from repro.analysis.crosstalk import analyze_crosstalk
+from repro.bus import BusSpec, LineSwitch, build_bus_circuit
 from repro.errors import ParameterError
-from repro.spice.coupled import (
-    CoupledLadderSpec,
-    VictimMode,
-    build_coupled_ladder_circuit,
-)
-from repro.spice.netlist import Capacitor, Inductor
+from repro.spice.netlist import Capacitor, Inductor, VoltageSource
 from repro.spice.transient import simulate_transient
 
 
-def make_spec(**overrides) -> CoupledLadderSpec:
+def make_spec(**overrides) -> BusSpec:
     base = dict(
+        n_lines=2,
         rt=100.0,
         lt=25e-9,
         ct=2e-12,
         cct=1e-12,
         km=0.5,
-        rtr_aggressor=50.0,
-        rtr_victim=50.0,
+        rtr=50.0,
         cl=5e-14,
         n_segments=12,
     )
     base.update(overrides)
-    return CoupledLadderSpec(**base)
+    return BusSpec(**base)
+
+
+AGGRESSOR_RISES = {
+    "quiet": (LineSwitch.RISE, LineSwitch.QUIET),
+    "even": (LineSwitch.RISE, LineSwitch.RISE),
+    "odd": (LineSwitch.RISE, LineSwitch.FALL),
+}
 
 
 class TestSpec:
@@ -37,20 +43,21 @@ class TestSpec:
         with pytest.raises(ParameterError):
             make_spec(km=1.0)
         with pytest.raises(ParameterError):
-            make_spec(rtr_victim=0.0)
+            make_spec(rtr=(50.0, 0.0))
         with pytest.raises(ParameterError):
             make_spec(n_segments=0)
 
     def test_output_names(self):
         spec = make_spec(n_segments=8)
-        assert spec.aggressor_output == "a8"
-        assert spec.victim_output == "v8"
+        assert spec.output_node(0) == "b0_8"
+        assert spec.output_node(1) == "b1_8"
+        assert {"b0_8", "b1_8"} <= set(build_bus_circuit(spec).node_names())
 
 
 class TestCircuitBuilder:
     def test_element_budget(self):
         spec = make_spec(n_segments=8)
-        ckt = build_coupled_ladder_circuit(spec)
+        ckt = build_bus_circuit(spec, AGGRESSOR_RISES["quiet"])
         # 2 lines x 8 inductors, coupled pairwise.
         assert len(ckt.elements_of_type(Inductor)) == 16
         assert len(ckt.mutual_inductances) == 8
@@ -60,7 +67,7 @@ class TestCircuitBuilder:
 
     def test_coupling_capacitance_conserved(self):
         spec = make_spec(n_segments=10)
-        ckt = build_coupled_ladder_circuit(spec)
+        ckt = build_bus_circuit(spec, AGGRESSOR_RISES["quiet"])
         cc_total = sum(
             e.value
             for e in ckt.elements_of_type(Capacitor)
@@ -71,13 +78,16 @@ class TestCircuitBuilder:
     def test_victim_modes_set_drivers(self):
         spec = make_spec()
         for mode, v0, v1 in (
-            (VictimMode.QUIET, 0.0, 0.0),
-            (VictimMode.EVEN, 0.0, 1.0),
-            (VictimMode.ODD, 1.0, 0.0),
+            ("quiet", 0.0, 0.0),
+            ("even", 0.0, 1.0),
+            ("odd", 1.0, 0.0),
         ):
-            ckt = build_coupled_ladder_circuit(spec, mode=mode)
-            vinv = next(e for e in ckt.elements if e.name == "vinv")
-            assert vinv.waveform.v0 == v0 and vinv.waveform.v1 == v1
+            ckt = build_bus_circuit(spec, AGGRESSOR_RISES[mode])
+            sources = {
+                e.name: e.waveform for e in ckt.elements_of_type(VoltageSource)
+            }
+            assert (sources["vinb0_"].v0, sources["vinb0_"].v1) == (0.0, 1.0)
+            assert (sources["vinb1_"].v0, sources["vinb1_"].v1) == (v0, v1)
 
 
 class TestSymmetry:
@@ -92,10 +102,10 @@ class TestSymmetry:
     def test_even_mode_keeps_lines_identical(self):
         """Both lines switching together see no differential coupling."""
         spec = make_spec()
-        ckt = build_coupled_ladder_circuit(spec, mode=VictimMode.EVEN)
+        ckt = build_bus_circuit(spec, AGGRESSOR_RISES["even"])
         result = simulate_transient(ckt, 1.5e-9, 5e-13)
-        a = result.voltage(spec.aggressor_output).values
-        v = result.voltage(spec.victim_output).values
+        a = result.voltage(spec.output_node(0)).values
+        v = result.voltage(spec.output_node(1)).values
         assert np.max(np.abs(a - v)) < 1e-9
 
 
@@ -127,7 +137,7 @@ class TestSwitchingDelay:
         """RC-dominated pair: Miller-doubled Cc -- push-out."""
         spec = make_spec(
             rt=2000.0, lt=2e-10, ct=2e-12, cct=1.5e-12, km=0.0,
-            rtr_aggressor=500.0, rtr_victim=500.0,
+            rtr=500.0,
         )
         report = analyze_crosstalk(spec)
         assert report.aggressor_delay_odd > report.aggressor_delay_even
@@ -136,3 +146,7 @@ class TestSwitchingDelay:
     def test_window_validation(self):
         with pytest.raises(ParameterError):
             analyze_crosstalk(make_spec(), window=-1.0)
+
+    def test_requires_two_lines(self):
+        with pytest.raises(ParameterError, match="two-line"):
+            analyze_crosstalk(make_spec(n_lines=3))

@@ -747,6 +747,26 @@ class TestNetlistCli:
         assert status == 2
         assert "unknown netlist parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--window", "0"),
+            ("--window", "-1"),
+            ("--n-samples", "0"),
+            ("--n-samples", "-5"),
+        ],
+    )
+    def test_sweep_netlist_rejects_nonpositive_flags(self, capsys, flag, value):
+        from repro.__main__ import main
+
+        fixture = NETLIST_DIR / "rlc_param.cir"
+        status = main(
+            ["sweep", "--netlist", str(fixture), "--axis", "rt=10,100",
+             flag, value]
+        )
+        assert status == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # suggest_transient_window
