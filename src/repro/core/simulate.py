@@ -56,7 +56,10 @@ __all__ = [
 #: (previously it could overshoot by up to one ``dt``).
 #: Version 3: scalar reduced-tier transients step through the batched
 #: q-space recurrence (outputs move by round-off, ~1e-9 V).
-SIMULATOR_VERSION = 3
+#: Version 4: de Hoog and state-space outputs move by round-off (the
+#: continued fraction runs over all times at once; state-space steps in
+#: 64-sample blocks).
+SIMULATOR_VERSION = 4
 
 
 class SimulatorRoute(str, enum.Enum):

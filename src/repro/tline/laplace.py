@@ -211,8 +211,15 @@ def dehoog(
     """
     if M < 2:
         raise ParameterError(f"dehoog requires M >= 2, got {M}")
-    if period_factor <= 1.0:
-        raise ParameterError("period_factor must be > 1 to avoid aliasing")
+    if not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
+    if not 0.0 < tol < 1.0:
+        raise ParameterError(f"tol must lie in (0, 1), got {tol}")
+    if not (math.isfinite(period_factor) and period_factor > 1.0):
+        raise ParameterError(
+            "period_factor must be finite and > 1 to avoid aliasing, "
+            f"got {period_factor}"
+        )
     t = _as_time_array(times)
     big_t = period_factor * float(np.max(t))
     gamma = alpha - math.log(tol) / (2.0 * big_t)
@@ -223,35 +230,37 @@ def dehoog(
     a[0] *= 0.5
     d = _dehoog_cf_coefficients(a, M)
 
-    n_levels = 2 * M + 1
-    out = np.empty_like(t)
-    for j, tj in enumerate(t):
-        z = np.exp(1j * np.pi * tj / big_t)
-        # Continued-fraction evaluation by the standard three-term
-        # recurrence: A_n = A_{n-1} + d_n z A_{n-2} (same for B), with
-        # A_{-1} = 0, B_{-1} = 1, A_0 = d_0, B_0 = 1.  Index shift: slot
-        # [n + 1] stores level n.
-        A = np.empty(n_levels + 1, dtype=complex)
-        B = np.empty(n_levels + 1, dtype=complex)
-        A[0], B[0] = 0.0, 1.0
-        A[1], B[1] = d[0], 1.0
-        for n in range(1, n_levels):
-            A[n + 1] = A[n] + d[n] * z * A[n - 1]
-            B[n + 1] = B[n] + d[n] * z * B[n - 1]
-        num, den = A[n_levels], B[n_levels]
-        # Remainder acceleration for the last level (de Hoog eq. 23):
-        # replace d_{2M} z by R_{2M}(z) in the final recurrence step.
-        h2m = 0.5 * (1.0 + z * (d[2 * M - 1] - d[2 * M]))
-        if h2m != 0:
-            r2m = -h2m * (1.0 - np.sqrt(1.0 + z * d[2 * M] / (h2m * h2m)))
-            num_acc = A[n_levels - 1] + r2m * A[n_levels - 2]
-            den_acc = B[n_levels - 1] + r2m * B[n_levels - 2]
-            if den_acc != 0 and np.isfinite(num_acc) and np.isfinite(den_acc):
-                num, den = num_acc, den_acc
-        if den == 0:
-            raise ParameterError("de Hoog continued fraction degenerated (B = 0)")
-        out[j] = (np.exp(gamma * tj) / big_t) * (num / den).real
-    return out
+    # Continued-fraction evaluation by the standard three-term recurrence
+    # A_n = A_{n-1} + d_n z A_{n-2} (same for B), with A_{-1} = 0,
+    # B_{-1} = 1, A_0 = d_0, B_0 = 1.  The recurrence is sequential in the
+    # level n but independent across times, so each level is one array
+    # operation over all times.  Only the levels n-1 and n-2 are kept,
+    # which bounds memory by a few arrays of len(times).
+    z = np.exp(1j * np.pi * t / big_t)
+    a_1, a_2 = np.full_like(z, d[0]), np.zeros_like(z)
+    b_1, b_2 = np.ones_like(z), np.ones_like(z)
+    for n in range(1, 2 * M):
+        dz = d[n] * z
+        a_1, a_2 = a_1 + dz * a_2, a_1
+        b_1, b_2 = b_1 + dz * b_2, b_1
+    dz = d[2 * M] * z
+    num, den = a_1 + dz * a_2, b_1 + dz * b_2
+    # Remainder acceleration for the last level (de Hoog eq. 23): replace
+    # d_{2M} z by R_{2M}(z) in the final recurrence step, at each time
+    # where the remainder and the accelerated fraction are well defined.
+    h2m = 0.5 * (1.0 + z * (d[2 * M - 1] - d[2 * M]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r2m = -h2m * (1.0 - np.sqrt(1.0 + z * d[2 * M] / (h2m * h2m)))
+        num_acc = a_1 + r2m * a_2
+        den_acc = b_1 + r2m * b_2
+    accept = (
+        (h2m != 0) & (den_acc != 0) & np.isfinite(num_acc) & np.isfinite(den_acc)
+    )
+    num = np.where(accept, num_acc, num)
+    den = np.where(accept, den_acc, den)
+    if np.any(den == 0):
+        raise ParameterError("de Hoog continued fraction degenerated (B = 0)")
+    return (np.exp(gamma * t) / big_t) * (num / den).real
 
 
 _METHODS = {

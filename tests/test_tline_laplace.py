@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.simulate import simulated_step_waveform
 from repro.errors import ParameterError
+from repro.tline import laplace
 from repro.tline.laplace import (
     InversionMethod,
     dehoog,
@@ -105,6 +110,21 @@ class TestValidation:
         with pytest.raises(ParameterError, match="period_factor"):
             dehoog(lambda s: 1 / s, [1.0], period_factor=0.9)
 
+    @pytest.mark.parametrize("period_factor", [np.nan, np.inf])
+    def test_dehoog_rejects_nonfinite_period(self, period_factor):
+        with pytest.raises(ParameterError, match="period_factor"):
+            dehoog(lambda s: 1 / s, [1.0], period_factor=period_factor)
+
+    @pytest.mark.parametrize("tol", [2.0, 1.0, 0.0, -1e-10, np.nan, np.inf])
+    def test_dehoog_rejects_bad_tol(self, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            dehoog(lambda s: 1.0 / (s * (s + 1.0)), [1.0], tol=tol)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_dehoog_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(ParameterError, match="alpha"):
+            dehoog(lambda s: 1 / s, [1.0], alpha=alpha)
+
     def test_rejects_nonfinite_times(self):
         with pytest.raises(ParameterError):
             talbot(lambda s: 1 / s, [np.nan])
@@ -160,3 +180,126 @@ class TestLinearity:
         got = euler(F, t)
         expected = a * np.exp(-b * t) + c * np.exp(-d * t)
         assert np.allclose(got, expected, atol=1e-7, rtol=1e-6)
+
+
+def _reference_dehoog(F, times, M=40, alpha=0.0, tol=1e-10, period_factor=2.0):
+    """The former per-time de Hoog evaluation, kept as a differential oracle.
+
+    Returns the inverse at each time and whether the remainder
+    acceleration was accepted there.
+    """
+    t = np.asarray(times, dtype=float)
+    big_t = period_factor * float(np.max(t))
+    gamma = alpha - math.log(tol) / (2.0 * big_t)
+    k = np.arange(2 * M + 1)
+    a = F(gamma + 1j * np.pi * k / big_t).astype(complex)
+    a[0] *= 0.5
+    d = laplace._dehoog_cf_coefficients(a, M)
+
+    n_levels = 2 * M + 1
+    out = np.empty_like(t)
+    accepted = np.zeros(t.shape, dtype=bool)
+    for j, tj in enumerate(t):
+        z = np.exp(1j * np.pi * tj / big_t)
+        A = np.empty(n_levels + 1, dtype=complex)
+        B = np.empty(n_levels + 1, dtype=complex)
+        A[0], B[0] = 0.0, 1.0
+        A[1], B[1] = d[0], 1.0
+        for n in range(1, n_levels):
+            A[n + 1] = A[n] + d[n] * z * A[n - 1]
+            B[n + 1] = B[n] + d[n] * z * B[n - 1]
+        num, den = A[n_levels], B[n_levels]
+        h2m = 0.5 * (1.0 + z * (d[2 * M - 1] - d[2 * M]))
+        if h2m != 0:
+            with np.errstate(all="ignore"):
+                r2m = -h2m * (1.0 - np.sqrt(1.0 + z * d[2 * M] / (h2m * h2m)))
+                num_acc = A[n_levels - 1] + r2m * A[n_levels - 2]
+                den_acc = B[n_levels - 1] + r2m * B[n_levels - 2]
+            if den_acc != 0 and np.isfinite(num_acc) and np.isfinite(den_acc):
+                num, den = num_acc, den_acc
+                accepted[j] = True
+        if den == 0:
+            raise ParameterError("de Hoog continued fraction degenerated (B = 0)")
+        out[j] = (np.exp(gamma * tj) / big_t) * (num / den).real
+    return out, accepted
+
+
+class TestDehoogDifferential:
+    """The all-times recurrence against the former per-time loop."""
+
+    @pytest.mark.parametrize("pair_index", range(5))
+    def test_analytic_pairs(self, pair_index):
+        F, _ = transform_pairs()[pair_index]
+        times = np.linspace(0.05, 6.0, 301)
+        expected, accepted = _reference_dehoog(F, times)
+        assert accepted.all()
+        assert np.max(np.abs(dehoog(F, times) - expected)) <= 1e-11
+
+    def test_line_step_response_at_production_order(self, underdamped_line):
+        """The tline delay route's own query: M = 96 over 4001 samples."""
+        wave = simulated_step_waveform(underdamped_line, route="tline")
+        assert wave.times.size == 4001
+        transfer = underdamped_line.transfer()
+        expected, _ = _reference_dehoog(
+            lambda s: transfer(s) / s, wave.times[1:], M=96
+        )
+        assert wave.values[0] == 0.0
+        assert np.max(np.abs(wave.values[1:] - expected)) <= 1e-9
+
+    def test_acceleration_rejected_at_some_times_only(self, monkeypatch):
+        """The remainder rule is applied per time, through masks.
+
+        With ``d[2M-1] - d[2M] = -1`` the remainder denominator
+        ``h2m = (1 - z) / 2`` squares to zero (underflow) at the earliest
+        time, where acceleration must be refused, but not at the others.
+        """
+        M = 10
+        coefficients = laplace._dehoog_cf_coefficients
+
+        def patched(a, order):
+            d = coefficients(a, order)
+            d[2 * order - 1], d[2 * order] = 1.0, 2.0
+            return d
+
+        monkeypatch.setattr(laplace, "_dehoog_cf_coefficients", patched)
+        F = lambda s: 1.0 / (s + 1.0)
+        times = np.array([1e-170, 0.5, 1.0, 2.0])
+        expected, accepted = _reference_dehoog(F, times, M=M)
+        assert accepted.tolist() == [False, True, True, True]
+        got = dehoog(F, times, M=M)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_degenerate_fraction_raises(self, monkeypatch):
+        """B = 0 at any one time is an error, not a silent NaN.
+
+        At t = 5e-324 with max(t) = 100 the phase underflows, so z = 1
+        exactly and ``d = (1, -1, 0, 0, 0)`` zeroes every B_n, n >= 1.
+        """
+        monkeypatch.setattr(
+            laplace,
+            "_dehoog_cf_coefficients",
+            lambda a, order: np.array([1.0, -1.0, 0.0, 0.0, 0.0], dtype=complex),
+        )
+        F = lambda s: 1.0 / (s + 1.0)
+        times = [5e-324, 100.0]
+        for inverse in (_reference_dehoog, dehoog):
+            with pytest.raises(ParameterError, match="degenerated"):
+                inverse(F, times, M=2)
+
+
+class TestDehoogMemory:
+    def test_peak_memory_independent_of_level_count(self):
+        """4001 times at M = 96 keep only a few time-length arrays live.
+
+        A full (2M + 2) x len(times) recurrence table would be ~25 MB.
+        """
+        F = lambda s: 1.0 / (s * (s + 1.0))
+        times = np.linspace(1e-3, 10.0, 4001)
+        tracemalloc.start()
+        try:
+            dehoog(F, times, M=96)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
