@@ -26,8 +26,8 @@ The three tiers:
     Picks the cheapest adequate tier: full for small systems (at or
     below :data:`ROM_SIZE_CUTOFF` unknowns the full solve is already
     cheap), reduced otherwise -- *unless* the pinned a-posteriori
-    error checks (build-time moment matching, per-query residual /
-    order-convergence estimates) exceed
+    error checks (build-time moment matching and the per-query nested
+    suborder convergence defect) exceed
     :data:`DEFAULT_ERROR_BOUND` (or the caller's
     ``rom_error_bound``), in which case the query falls back to full
     MNA and the fallback is recorded.
@@ -57,9 +57,8 @@ MODELS = ("full", "reduced", "auto")
 
 #: Relative error bound that ``model="auto"`` holds reduced answers to
 #: before falling back to full MNA.  The bound is compared against the
-#: *largest* of the pinned a-posteriori estimates (build-time moment
-#: mismatch, frequency-domain relative residual, order-convergence
-#: defect); 5e-3 keeps 50% delay errors comfortably under the 1%
+#: *larger* of the pinned a-posteriori estimates (build-time moment
+#: mismatch and nested-suborder convergence defect); 5e-3 keeps 50% delay errors comfortably under the 1%
 #: acceptance target.
 DEFAULT_ERROR_BOUND = 5e-3
 
@@ -181,8 +180,8 @@ def serve_with_tier(
     """Serve one non-full query under the ``model`` tier policy.
 
     The one home of the ``reduced`` / ``auto`` decision rules
-    (``docs/rom.md``), shared by the scalar and batch transient and AC
-    analyses.  Each analysis passes three callables:
+    (``docs/rom.md``), shared by the scalar and batch transient
+    analyses and the one AC analysis.  Each analysis passes three callables:
 
     ``build()``
         The projection -- a :class:`~repro.rom.prima.ReducedSystem` or

@@ -19,28 +19,28 @@ recovered as ``x ~= V z``.
 Two usage shapes:
 
 - :func:`prima_reduce` projects one concrete :class:`~repro.spice.mna.MnaSystem`
-  into a :class:`ReducedSystem` (scalar transient / AC queries).
+  into a :class:`ReducedSystem` (scalar transient queries).
 - :class:`ReducedTemplate` composes with the stamp-once / re-value-many
   split of :class:`~repro.spice.mna.CircuitTemplate`: the basis is built
   once at a nominal parameter point and each COO revaluation *group* is
   pre-projected to a ``q x q`` matrix, so a value-only batch point costs
   ``O(groups * q^2)`` -- no O(nnz) work per point -- and the batched
   reduced recurrence (:func:`reduced_transient_batch`) integrates every
-  point with stacked ``q x q`` operations.
+  point with stacked ``q x q`` operations.  Every AC query -- scalar
+  ones included, as a batch of one -- is served from a template
+  (``_ac_batch_solve``).
 
-Scalar queries are a batch of one: :meth:`ReducedSystem.transient` and
-:meth:`ReducedSystem.ac` run the same stacked q-space kernels
-(``_batch_recurrence``, ``_ac_batch_solve``) as the template batch
-path, with ``B = 1``.
+:meth:`ReducedSystem.transient` is a batch of one through the same
+stacked q-space recurrence (``_batch_recurrence``) as the template
+batch path.
 
 Every reduced answer carries pinned a-posteriori error evidence: the
-build-time moment-matching defect (:attr:`ReducedSystem.moment_error`),
-the exact per-frequency AC residual ``||(G + jwC) V z - e|| / ||e||``
-(:meth:`ReducedSystem.ac_residuals`), and the nested-suborder
-convergence defect (basis prefixes stay orthonormal, so re-answering
-with the weakest trailing direction dropped and comparing outputs
-costs only ``O(q^2)`` per point).  ``model="auto"`` callers fall back
-to full MNA whenever these estimates exceed the requested bound.
+build-time moment-matching defect (:attr:`ReducedSystem.moment_error`)
+and the nested-suborder convergence defect (basis prefixes stay
+orthonormal, so re-answering with the weakest trailing direction
+dropped and comparing outputs costs only ``O(q^2)`` per point).
+``model="auto"`` callers fall back to full MNA whenever these estimates
+exceed the requested bound.
 """
 
 from __future__ import annotations
@@ -102,16 +102,6 @@ _UNION_TOL = 1e-8
 #: 1e-6 of the leading one carry no signal, only round-off that makes
 #: the projected DC matrix needlessly ill-conditioned.
 _SNAPSHOT_TOL = 1e-6
-
-#: Krylov depth of the Arnoldi block mixed into a snapshot basis.  Zero:
-#: under a fixed order cap every unit-norm Krylov column admitted by the
-#: energy cut displaces a snapshot direction, and the snapshots already
-#: contain the DC operating points (the trajectories start there) --
-#: measured on the bus acceptance workload, mixing 16 Krylov columns in
-#: nearly triples the worst-case 50% delay error at the same q (1.21%
-#: vs 0.46% at q = 96).  The pure-Krylov path (no snapshots) is
-#: unaffected.
-_SNAPSHOT_ARNOLDI_ORDER = 0
 
 #: Default cap on the achieved order of a snapshot-enriched basis.
 #: Batched per-point integration work grows as ``q^2``..``q^3``; on the
@@ -247,9 +237,9 @@ class ReducedSystem:
     Produced by :func:`prima_reduce`.  Holds the orthonormal basis
     ``V`` (``n x q``), the projected matrices ``Gq``/``Cq``/``Bq``, the
     index maps of the source system, and the build-time error evidence;
-    :meth:`transient` and :meth:`ac` integrate / solve entirely in the
-    ``q``-dimensional space, and :meth:`reconstruct` lifts reduced
-    states back to MNA rows.
+    :meth:`transient` integrates entirely in the ``q``-dimensional
+    space, and :meth:`reconstruct` lifts reduced states back to MNA
+    rows.
     """
 
     #: The :class:`~repro.rom.model.ModelSelection` that routed a query
@@ -268,8 +258,6 @@ class ReducedSystem:
         branch_index: dict[str, int],
         source_rows,
         moment_error: float,
-        g_csr,
-        c_csr,
         snapshot_enriched: bool = False,
     ) -> None:
         self._basis = basis
@@ -281,8 +269,6 @@ class ReducedSystem:
         self._branch_index = branch_index
         self._source_rows = tuple(source_rows)
         self._moment_error = float(moment_error)
-        self._g_csr = g_csr
-        self._c_csr = c_csr
         self._snapshot_enriched = bool(snapshot_enriched)
 
     @property
@@ -435,26 +421,6 @@ class ReducedSystem:
         """
         return self._signs[input_row] * self._basis[input_row]
 
-    def ac(
-        self, input_row: int, omegas: np.ndarray, order: int | None = None
-    ) -> np.ndarray:
-        """Reduced phasor solves ``(Gq + jw Cq) z = V^T e_input``.
-
-        ``input_row`` is the full-MNA row carrying the unit AC stimulus
-        (the input source's branch row, as in
-        :func:`~repro.spice.ac.ac_sweep`); that row's sign-corrected
-        basis slice is the exact projection of the unit right-hand
-        side.  A batch of one through the stacked solve of the template
-        path; returns the complex reduced states, shape
-        ``(len(omegas), q_used)``.
-        """
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        q = self.order if order is None else int(order)
-        vq = self.projected_unit_rhs(input_row)[:q]
-        return _ac_batch_solve(
-            self._gq[None, :q, :q], self._cq[None, :q, :q], vq, omegas
-        )[0]
-
     def reconstruct(self, z: np.ndarray, rows=None) -> np.ndarray:
         """Lift reduced states back to MNA rows: ``x = V[:, :q_used] z``.
 
@@ -465,25 +431,6 @@ class ReducedSystem:
         z = np.asarray(z)
         basis = self._basis if rows is None else self._basis[np.asarray(rows)]
         return z @ basis[:, : z.shape[-1]].T
-
-    def ac_residuals(
-        self, input_row: int, omegas, z: np.ndarray
-    ) -> np.ndarray:
-        """Exact per-frequency relative residuals of reduced AC states.
-
-        ``z`` holds :meth:`ac` solutions (``(F, q_used)``) for a unit
-        stimulus at ``input_row``; each lifted phasor solution is
-        checked against the *full* system:
-        ``||(G + jw C) V z_k - e_input|| / ||e_input||`` with
-        ``||e_input|| = 1``.  Only sparse matvecs -- no full solve --
-        so ``model="auto"`` can pin its fallback decision on an exact
-        a-posteriori quantity at the swept frequencies themselves.
-        """
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        x = self.reconstruct(z).T  # (n, F), complex
-        resid = (self._g_csr @ x) + 1j * omegas[None, :] * (self._c_csr @ x)
-        resid[input_row, :] -= 1.0
-        return np.linalg.norm(resid, axis=0)
 
     def __repr__(self) -> str:
         head = (
@@ -527,12 +474,18 @@ def prima_reduce(
     ``snapshots`` is an optional ``(n, k)`` matrix of full-space state
     snapshots (e.g. transient trajectories at a few sample points, as
     collected by the batch dispatch).  Its normalized columns join the
-    union, POD-style; the moment-anchoring Arnoldi block then shrinks
-    to :data:`_SNAPSHOT_ARNOLDI_ORDER` and the merged basis is capped
-    at ``order`` columns (default :data:`_SNAPSHOT_ORDER_CAP`), kept in
-    decreasing singular-value order.  Snapshot bases track the actual
-    waveforms far more efficiently per column than corner Krylov
-    unions on strongly coupled structures.
+    union, POD-style, in place of the Arnoldi block, and the merged
+    basis is capped at ``order`` columns (default
+    :data:`_SNAPSHOT_ORDER_CAP`), kept in decreasing singular-value
+    order.  No Krylov column is mixed in: under a fixed order cap every
+    unit-norm Krylov column admitted by the energy cut displaces a
+    snapshot direction, and the snapshots already contain the DC
+    operating points (the trajectories start there) -- measured on the
+    bus acceptance workload, mixing 16 Krylov columns in nearly triples
+    the worst-case 50% delay error at the same q (1.21% vs 0.46% at
+    q = 96).  Snapshots exclude ``samples``: both enrich one basis
+    from several points, and there is no Arnoldi block to merge the
+    samples into.
     """
     with obs.span("rom.build") as sp:
         n = system.size
@@ -548,6 +501,10 @@ def prima_reduce(
             q_req = int(order)
         if q_req < 1:
             raise ParameterError(f"rom order must be >= 1, got {order!r}")
+        if snapshots is not None and samples:
+            raise ParameterError(
+                "prima_reduce takes samples or snapshots, not both"
+            )
         backend = resolve_backend(backend, system.g_coo)
         try:
             g_fact = backend.factorize(system.g_coo)
@@ -562,9 +519,10 @@ def prima_reduce(
             b_dense[row, s] = sign
 
         arnoldi_q = min(q_req, n)
-        if snapshots is not None:
-            arnoldi_q = min(arnoldi_q, _SNAPSHOT_ARNOLDI_ORDER)
-        basis = _block_arnoldi(g_fact, c_csr, b_dense, arnoldi_q)
+        if snapshots is None:
+            basis = _block_arnoldi(g_fact, c_csr, b_dense, arnoldi_q)
+        else:
+            basis = np.empty((n, 0))
         moment_depth = basis.shape[1]
         if samples:
             parts = [basis]
@@ -611,7 +569,6 @@ def prima_reduce(
                 "block-Arnoldi basis construction failed (empty or "
                 "non-finite basis)"
             )
-        g_csr = system.g_coo.to_csr()
         signs = _row_signs(system.branch_index, n)
         gq = _congruence(system.g_coo, basis, signs)
         cq = _congruence(system.c_coo, basis, signs)
@@ -649,8 +606,6 @@ def prima_reduce(
             branch_index=system.branch_index,
             source_rows=system.source_rows,
             moment_error=moment_error,
-            g_csr=g_csr,
-            c_csr=c_csr,
             snapshot_enriched=snapshots is not None,
         )
 

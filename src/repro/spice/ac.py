@@ -13,6 +13,10 @@ fit.  The backend is resolved once per sweep from the (frequency
 independent) union pattern of ``G`` and ``C``, so a 1000-segment ladder
 sweep runs on the banded or sparse path end to end.
 
+:func:`ac_sweep` is :func:`ac_sweep_batch` at one point: both run one
+body, so the tiers, the ``model="auto"`` estimator and the grid checks
+cannot drift apart.
+
 The primary use here is validation: the AC response of an ``n``-segment
 ladder must match the cascaded lumped two-port of :mod:`repro.tline.abcd`
 exactly, and must converge to the exact distributed line as ``n`` grows.
@@ -28,7 +32,7 @@ import numpy as np
 from repro import obs
 from repro.errors import NetlistError, ParameterError, SimulationError
 from repro.spice.backend import CooMatrix, SimulationBackend, resolve_backend
-from repro.spice.mna import CircuitTemplate, MnaStructure, build_mna
+from repro.spice.mna import CircuitTemplate, MnaStructure, build_mna_structure
 from repro.spice.netlist import Circuit, VoltageSource, canonical_node
 
 __all__ = ["AcResult", "AcBatchResult", "ac_sweep", "ac_sweep_batch"]
@@ -89,8 +93,8 @@ def ac_sweep(
         The netlist.  Exactly one voltage source is stimulated with unit
         magnitude; the others are shorted (zero AC value).
     omegas:
-        Angular frequencies (rad/s); zero is allowed if the DC system is
-        nonsingular.
+        Angular frequencies (rad/s): a finite, non-empty scalar or 1-D
+        grid; zero is allowed if the DC system is nonsingular.
     input_source:
         Name of the stimulated voltage source.  May be omitted when the
         circuit contains exactly one voltage source.
@@ -103,70 +107,41 @@ def ac_sweep(
         Evaluation-model tier: ``"full"`` (default; per-frequency
         factorizations of ``G + j*omega*C``), ``"reduced"`` (phasor
         solves on a PRIMA projection, see :mod:`repro.rom`), or
-        ``"auto"`` (reduced for large systems when the exact relative
-        residual at probe frequencies of the sweep stays under
-        ``rom_error_bound``, full otherwise; the decision is recorded
-        as a :class:`~repro.rom.model.ModelSelection`).
+        ``"auto"`` (reduced for large systems when the nested-suborder
+        convergence defect stays under ``rom_error_bound``, full
+        otherwise; the decision is recorded as a
+        :class:`~repro.rom.model.ModelSelection`).
     rom_order:
         Reduced order ``q`` for the non-full tiers (default
         :data:`repro.rom.prima.DEFAULT_ORDER`).
     rom_error_bound:
-        Residual bound the ``"auto"`` tier enforces before serving a
+        Error bound the ``"auto"`` tier enforces before serving a
         reduced answer (default
         :data:`repro.rom.model.DEFAULT_ERROR_BOUND`).
 
     Notes
     -----
-    The full tier is a batch of one through the phasor kernel of
-    :func:`ac_sweep_batch`.
+    A batch of one: the circuit's parameter-free MNA structure runs
+    through the body of :func:`ac_sweep_batch` (every tier, every
+    estimate) and point 0 is returned.
     """
-    from repro.rom.model import resolve_model, serve_with_tier
-
-    model = resolve_model(model)
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    with obs.span("ac.sweep", frequencies=omegas.size) as sp:
-        system = build_mna(circuit)
-        input_row = system.current_row(_resolve_input_source(circuit, input_source))
-
-        def full(mask):
-            # A batch of one: the rerun mask can only select its point.
-            states, solver, _reuse = _phasor_states(
-                system.combine(), system.g_coo.data[None], system.c_coo.data[None],
-                omegas, input_row, backend, np.arange(system.size),
-            )
-            sp.set(n=system.size, backend=solver.name)
-            obs.inc("spice.ac.runs")
-            obs.inc("spice.ac.frequencies", omegas.size)
-            return states
-
-        def build():
-            from repro import rom
-
-            return rom.prima_reduce(system, order=rom_order, backend=backend)
-
-        def answer(reduced, estimates):
-            # The estimate is the exact relative residual at up to 8
-            # probe frequencies spread across the sweep itself.
-            z = reduced.ac(input_row, omegas)
-            states = reduced.reconstruct(z)[None]
-            if not estimates:
-                return states, None
-            probes = _probe_indices(omegas.size)
-            residuals = reduced.ac_residuals(input_row, omegas[probes], z[probes])
-            return states, np.array([np.max(residuals)])
-
-        if model == "full":
-            states = full(None)
-        else:
-            states = serve_with_tier(
-                model, system.size, 1, build, answer, full, rom_error_bound, sp
-            )
-        return AcResult(
-            omegas=omegas,
-            states=states[0],
-            node_index=dict(system.node_index),
-            branch_index=dict(system.branch_index),
+    source = _resolve_input_source(circuit, input_source)
+    structure = build_mna_structure(circuit)
+    if structure.param_names:
+        raise NetlistError(
+            f"circuit has unbound parameters {list(structure.param_names)}; "
+            "use ac_sweep_batch with a CircuitTemplate (or bind values)"
         )
+    batch = _ac_batch(
+        structure, {}, 1, omegas, source, backend, None, model,
+        rom_order, rom_error_bound,
+    )
+    return AcResult(
+        omegas=batch.omegas,
+        states=batch.states[0],
+        node_index=dict(structure.node_index),
+        branch_index=dict(structure.branch_index),
+    )
 
 
 def _resolve_input_source(circuit: Circuit, input_source: str | None) -> str:
@@ -184,11 +159,19 @@ def _resolve_input_source(circuit: Circuit, input_source: str | None) -> str:
     return input_source
 
 
-def _probe_indices(n_freqs: int, limit: int = 8) -> np.ndarray:
-    """Evenly spread probe indices into a frequency grid (ends included)."""
-    if n_freqs <= limit:
-        return np.arange(n_freqs, dtype=np.intp)
-    return np.unique(np.linspace(0, n_freqs - 1, limit).astype(np.intp))
+def _frequency_grid(omegas) -> np.ndarray:
+    """The validated angular-frequency grid: finite, non-empty, 1-D."""
+    grid = np.asarray(omegas, dtype=float)
+    if grid.ndim == 0:
+        grid = grid[None]
+    if grid.ndim != 1 or grid.size == 0:
+        raise ParameterError(
+            "omegas must be a non-empty scalar or 1-D grid, got shape "
+            f"{grid.shape}"
+        )
+    if not np.all(np.isfinite(grid)):
+        raise ParameterError("omegas must be finite")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -280,7 +263,8 @@ def ac_sweep_batch(
         columns (scalars broadcast) or a sequence of per-point dicts;
         template defaults fill missing names.
     omegas:
-        Angular frequencies (rad/s), shared by every point.
+        Angular frequencies (rad/s), shared by every point and checked
+        as in :func:`ac_sweep`.
     input_source:
         Stimulated voltage source name; may be omitted when the
         template has exactly one voltage source.
@@ -299,22 +283,47 @@ def ac_sweep_batch(
         points whose nested-suborder convergence defect exceeds the
         bound are transparently re-run on the full path.
     """
-    from repro.rom.model import resolve_model, serve_with_tier
-    from repro.rom.prima import _ac_batch_solve, _suborder_estimates
-    from repro.spice.transient import _param_columns, _recorded_rows
+    from repro.spice.transient import _param_columns
 
     if not isinstance(template, CircuitTemplate):
         raise ParameterError(
             f"ac_sweep_batch needs a CircuitTemplate, got {template!r}"
         )
-    model = resolve_model(model)
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     structure, columns, n_points = _param_columns(template, params)
+    return _ac_batch(
+        structure, columns, n_points, omegas,
+        _resolve_input_source(template.circuit, input_source), backend,
+        record, model, rom_order, rom_error_bound,
+    )
 
+
+def _ac_batch(
+    structure: MnaStructure,
+    columns: dict[str, np.ndarray],
+    n_points: int,
+    omegas,
+    input_source: str,
+    backend: SimulationBackend | str,
+    record: Sequence | None,
+    model: str,
+    rom_order: int | None,
+    rom_error_bound: float | None,
+) -> AcBatchResult:
+    """The one AC body: every tier of :func:`ac_sweep_batch`.
+
+    ``columns`` holds the ``n_points``-long parameter columns (empty for
+    a parameter-free structure, which :func:`ac_sweep` runs as a batch
+    of one); ``input_source`` is the already resolved source name.
+    """
+    from repro.rom.model import resolve_model, serve_with_tier
+    from repro.rom.prima import _ac_batch_solve, _suborder_estimates
+    from repro.spice.transient import _recorded_rows
+
+    model = resolve_model(model)
+    omegas = _frequency_grid(omegas)
     with obs.span(
         "ac.batch", points=n_points, frequencies=omegas.size
     ) as sp:
-        input_source = _resolve_input_source(template.circuit, input_source)
         input_row = structure.current_row(input_source)
         rec_rows = _recorded_rows(structure, record)
 
@@ -388,9 +397,8 @@ def _phasor_states(
 ) -> tuple[np.ndarray, SimulationBackend, int]:
     """Full-tier phasor solves of ``B`` structure-identical points.
 
-    The one full-tier AC kernel: :func:`ac_sweep` runs it as a batch of
-    one, :func:`ac_sweep_batch` on its revalued points (and on auto-tier
-    fallback points).  ``pattern`` is the ``[G; C]`` union pattern (only
+    The one full-tier AC kernel, run on the revalued points of
+    :func:`_ac_batch` (and on its auto-tier fallback points).  ``pattern`` is the ``[G; C]`` union pattern (only
     its rows/cols are read), so the backend is resolved once and every
     ``(point, frequency)`` pair pays only a numeric refactorization of
     ``G + j*omega*C``; points with identical values reuse the first

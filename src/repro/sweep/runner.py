@@ -9,7 +9,7 @@ memoizes the result twice over:
 
 Closed-form quantities run as single NumPy kernel calls over the whole
 grid; the simulator-backed quantity (``simulated_delay_50``) fans out
-over a :mod:`concurrent.futures` worker pool in *chunks*: the grid is
+over a :mod:`concurrent.futures` thread pool in *chunks*: the grid is
 partitioned into contiguous chunks, each chunk ships one payload (its
 input columns plus a single shared options mapping -- not one payload
 dict per point), and the chunk worker hands its points to
@@ -483,10 +483,9 @@ def _simulate_chunk(payload) -> list[float]:
 def _simulate_chunk_timed(payload) -> tuple[list[float], float]:
     """:func:`_simulate_chunk` plus the chunk's wall-clock seconds.
 
-    The timing happens inside the worker (this function is module-level
-    so it pickles into process pools); the parent feeds the elapsed
-    seconds into the ``sweep.chunk_seconds`` histogram, which a worker
-    process could not reach (its registry is a different process's).
+    The timing happens inside the worker thread; the parent feeds the
+    elapsed seconds into the ``sweep.chunk_seconds`` histogram after
+    the pool has drained, in chunk order.
     """
     start = time.perf_counter()
     chunk = _simulate_chunk(payload)
@@ -504,11 +503,6 @@ class SweepRunner:
     max_workers:
         Worker count for simulator-backed sweeps.  ``None`` uses the
         CPU count; values <= 1 run serially in-process.
-    executor:
-        ``"thread"`` (default) or ``"process"`` -- the pool flavor for
-        simulator fan-out.  Threads avoid spawn overhead and still
-        overlap the LAPACK-heavy integration kernels; processes
-        sidestep the GIL entirely for pure-Python-bound routes.
     memory_entries:
         LRU capacity of the in-memory result cache.
     """
@@ -517,20 +511,14 @@ class SweepRunner:
         self,
         cache_dir: str | os.PathLike | None = None,
         max_workers: int | None = None,
-        executor: str = "thread",
         memory_entries: int = 128,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ParameterError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         if memory_entries < 1:
             raise ParameterError("memory_entries must be >= 1")
         self.cache_dir = (
             pathlib.Path(cache_dir) if cache_dir is not None else None
         )
         self.max_workers = max_workers
-        self.executor = executor
         self.stats = RunnerStats()
         self._memory: OrderedDict[str, SweepResult] = OrderedDict()
         self._memory_entries = memory_entries
@@ -803,8 +791,7 @@ class SweepRunner:
 
         Points are split into contiguous chunks; each chunk is one
         payload (columns as plain tuples plus one shared, read-only
-        options mapping) shipped to a worker, keeping pickling cost
-        O(chunks) rather than O(points) for process pools.  Inside a
+        options mapping) handed to a worker thread.  Inside a
         worker, :func:`repro.core.simulate.simulated_delay_50_batch`
         partitions the chunk into structure-equivalence classes and
         routes value-only classes through the batched template path.
@@ -834,17 +821,13 @@ class SweepRunner:
             points=size,
             chunks=len(payloads),
             workers=min(workers, len(payloads)),
-            executor=self.executor,
         ):
             if workers <= 1 or len(payloads) <= 1:
                 timed = [_simulate_chunk_timed(p) for p in payloads]
             else:
-                pool_cls = (
-                    concurrent.futures.ProcessPoolExecutor
-                    if self.executor == "process"
-                    else concurrent.futures.ThreadPoolExecutor
-                )
-                with pool_cls(max_workers=min(workers, len(payloads))) as pool:
+                with concurrent.futures.ThreadPoolExecutor(
+                    max_workers=min(workers, len(payloads))
+                ) as pool:
                     timed = list(pool.map(_simulate_chunk_timed, payloads))
             if obs.enabled():
                 for chunk, seconds in timed:

@@ -1,27 +1,12 @@
-"""Numerical inverse Laplace transforms.
+"""Numerical inverse Laplace transform (de Hoog, Knight & Stokes 1982).
 
-Three classic algorithms are provided, all operating on a user-supplied
-transform ``F(s)`` that must accept a complex numpy array and return a
-complex numpy array of the same shape:
-
-``talbot``
-    Fixed-Talbot method (Abate & Valko, 2004).  Excellent for smooth
-    transforms; spectral convergence in the number of nodes ``M``.
-
-``euler``
-    The Euler method from the Abate--Whitt unified framework (2006): a
-    Bromwich/Fourier-series evaluation with binomial (Euler) acceleration.
-    Robust default, moderate accuracy (~1e-8 for smooth transforms at the
-    default order).
-
-``dehoog``
-    de Hoog, Knight & Stokes (1982): Fourier series accelerated by a
-    quotient-difference (Pade) continued fraction.  The method of choice
-    for oscillatory or nearly discontinuous time functions such as the
-    wavefront of an underdamped transmission line.
-
-All three agree to many digits on smooth inputs; the test suite
-cross-checks them against analytic transform pairs and against each other.
+:func:`dehoog` inverts a user-supplied transform ``F(s)`` that must
+accept a complex numpy array and return a complex numpy array of the
+same shape: a Fourier series accelerated by a quotient-difference (Pade)
+continued fraction.  It handles oscillatory or nearly discontinuous time
+functions such as the wavefront of an underdamped transmission line, and
+shares one set of ``2M + 1`` transform samples across every requested
+time.  :func:`step_response` inverts ``H(s)/s`` through it.
 
 The paper's evaluation (Table 1, Fig. 2) relies on "dynamic circuit
 simulation" of a distributed RLC line.  The exact line has a closed-form
@@ -33,7 +18,6 @@ state-space integration, see :mod:`repro.spice`).
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Callable, Sequence
 
@@ -42,24 +26,12 @@ import numpy as np
 from repro.errors import ParameterError
 
 __all__ = [
-    "InversionMethod",
-    "talbot",
-    "euler",
     "TransformFunction",
     "dehoog",
-    "invert_laplace",
     "step_response",
 ]
 
 TransformFunction = Callable[[np.ndarray], np.ndarray]
-
-
-class InversionMethod(str, enum.Enum):
-    """Available inverse-Laplace algorithms."""
-
-    TALBOT = "talbot"
-    EULER = "euler"
-    DEHOOG = "dehoog"
 
 
 def _as_time_array(times: float | Sequence[float] | np.ndarray) -> np.ndarray:
@@ -74,76 +46,6 @@ def _as_time_array(times: float | Sequence[float] | np.ndarray) -> np.ndarray:
             "use step_response() if you need a value at t = 0"
         )
     return t
-
-
-def talbot(F: TransformFunction, times, M: int = 48) -> np.ndarray:
-    """Fixed-Talbot inversion (Abate & Valko 2004).
-
-    Parameters
-    ----------
-    F:
-        Vectorized Laplace transform ``s -> F(s)``.
-    times:
-        Positive time point(s) at which to evaluate ``f(t)``.
-    M:
-        Number of contour nodes.  The rule of thumb is ``M ~ 1.7 * d`` for
-        ``d`` significant digits on smooth transforms; in double precision
-        accuracy saturates around ``M = 45``-``65``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``f(t)`` for each requested time (always 1-D).
-    """
-    if M < 2:
-        raise ParameterError(f"talbot requires M >= 2, got {M}")
-    t = _as_time_array(times)
-    out = np.empty_like(t)
-
-    theta = (np.arange(1, M) * np.pi) / M  # phi_k, k = 1..M-1
-    cot = 1.0 / np.tan(theta)
-    sigma = theta + (theta * cot - 1.0) * cot
-
-    for j, tj in enumerate(t):
-        r = 2.0 * M / (5.0 * tj)
-        s_nodes = r * theta * (cot + 1j)
-        # k = 0 node is real: s = r.
-        total = 0.5 * math.exp(r * tj) * complex(F(np.array([r + 0j]))[0])
-        fs = F(s_nodes)
-        total += np.sum(np.exp(tj * s_nodes) * fs * (1.0 + 1j * sigma))
-        out[j] = (r / M) * total.real
-    return out
-
-
-def _euler_weights(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (beta, eta) node/weight arrays for the Euler method."""
-    xi = np.zeros(2 * M + 1)
-    xi[0] = 0.5
-    xi[1 : M + 1] = 1.0
-    xi[2 * M] = 0.5**M
-    for k in range(1, M):
-        xi[2 * M - k] = xi[2 * M - k + 1] + (0.5**M) * math.comb(M, k)
-    k = np.arange(2 * M + 1)
-    beta = (M * math.log(10.0)) / 3.0 + 1j * np.pi * k
-    eta = (-1.0) ** k * (10.0 ** (M / 3.0)) * xi
-    return beta, eta
-
-
-def euler(F: TransformFunction, times, M: int = 18) -> np.ndarray:
-    """Euler inversion (Abate & Whitt 2006 unified framework).
-
-    ``M = 18`` is near the double-precision optimum; larger values overflow
-    the ``10**(M/3)`` scaling against binomial cancellation.
-    """
-    if not 1 <= M <= 26:
-        raise ParameterError(f"euler requires 1 <= M <= 26, got {M}")
-    t = _as_time_array(times)
-    beta, eta = _euler_weights(M)
-    out = np.empty_like(t)
-    for j, tj in enumerate(t):
-        fs = F(beta / tj)
-        out[j] = float(np.dot(eta, fs.real)) / tj
-    return out
 
 
 def _dehoog_cf_coefficients(a: np.ndarray, M: int) -> np.ndarray:
@@ -208,6 +110,11 @@ def dehoog(
     period_factor:
         The half-period of the underlying Fourier series is
         ``period_factor * max(times)``.  Must exceed 1 to avoid aliasing.
+
+    >>> import numpy as np
+    >>> decay = dehoog(lambda s: 1 / (s + 1), [0.5, 1.0])
+    >>> bool(np.allclose(decay, np.exp([-0.5, -1.0]), atol=1e-8))
+    True
     """
     if M < 2:
         raise ParameterError(f"dehoog requires M >= 2, got {M}")
@@ -263,45 +170,28 @@ def dehoog(
     return (np.exp(gamma * t) / big_t) * (num / den).real
 
 
-_METHODS = {
-    InversionMethod.TALBOT: talbot,
-    InversionMethod.EULER: euler,
-    InversionMethod.DEHOOG: dehoog,
-}
-
-
-def invert_laplace(
-    F: TransformFunction,
-    times,
-    method: InversionMethod | str = InversionMethod.TALBOT,
-    **kwargs,
-) -> np.ndarray:
-    """Invert ``F(s)`` at the requested times using the selected method.
-
-    >>> import numpy as np
-    >>> decay = invert_laplace(lambda s: 1 / (s + 1), [0.5, 1.0])
-    >>> bool(np.allclose(decay, np.exp([-0.5, -1.0]), atol=1e-8))
-    True
-    """
-    method = InversionMethod(method)
-    return _METHODS[method](F, times, **kwargs)
+#: The inverter :func:`step_response` calls, looked up by name at call
+#: time so instrumentation can wrap the entry without patching callers.
+_METHODS = {"dehoog": dehoog}
 
 
 def step_response(
     H: TransformFunction,
     times,
-    method: InversionMethod | str = InversionMethod.DEHOOG,
     initial_value: float = 0.0,
     **kwargs,
 ) -> np.ndarray:
     """Unit-step response of a transfer function ``H(s)``.
 
-    Inverts ``H(s)/s``.  ``times`` may include ``t = 0`` (and only zero or
-    positive values); the response at ``t = 0`` is taken to be
-    ``initial_value`` (0 for any strictly proper, delay-dominated network
-    such as a driven transmission line).
+    Inverts ``H(s)/s`` with :func:`dehoog` (``kwargs`` are forwarded).
+    ``times`` must be finite and non-negative and may include ``t = 0``;
+    the response at ``t = 0`` is taken to be ``initial_value`` (0 for
+    any strictly proper, delay-dominated network such as a driven
+    transmission line).
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise ParameterError("step_response requires finite times")
     if np.any(t < 0):
         raise ParameterError("step_response requires non-negative times")
     out = np.empty_like(t)
@@ -311,6 +201,6 @@ def step_response(
         return H(s) / s
 
     if np.any(positive):
-        out[positive] = invert_laplace(integrand, t[positive], method, **kwargs)
+        out[positive] = _METHODS["dehoog"](integrand, t[positive], **kwargs)
     out[~positive] = initial_value
     return out

@@ -164,6 +164,29 @@ class TestPrimaApi:
         # W = D V with unit +-1 signs, so |W^T e_row| == |V[row]|.
         assert np.allclose(np.abs(vq), np.abs(rom.basis[row]))
 
+    def test_snapshot_basis_runs_no_arnoldi(self):
+        from repro.rom.prima import _SNAPSHOT_TOL, _union_basis
+
+        _, circuit, t_stop, dt = _ladder(OVERDAMPED, 40)
+        system = build_mna(circuit)
+        snaps = simulate_transient(circuit, t_stop, dt).states[::40].T
+        obs.enable()
+        rom = prima_reduce(system, order=8, backend="dense", snapshots=snaps)
+        # G is factored once and solved once, by the moment check.
+        assert obs.REGISTRY.counter_total("spice.backend.solve_many") == 1.0
+        live = np.linalg.norm(snaps, axis=0) > 0.0
+        unit = snaps[:, live] / np.linalg.norm(snaps[:, live], axis=0)
+        expected = _union_basis([unit], _SNAPSHOT_TOL)[:, :8]
+        np.testing.assert_array_equal(rom.basis, expected)
+        assert rom.snapshot_enriched
+
+    def test_snapshots_and_samples_are_exclusive(self):
+        _, circuit, t_stop, dt = _ladder(OVERDAMPED, 24)
+        system = build_mna(circuit)
+        snaps = simulate_transient(circuit, t_stop, dt).states[::40].T
+        with pytest.raises(ParameterError, match="samples or snapshots"):
+            prima_reduce(system, samples=(system,), snapshots=snaps)
+
 
 # ---------------------------------------------------------------------------
 # Reduced vs full: transient

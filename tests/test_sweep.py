@@ -553,7 +553,7 @@ class TestSimulatedFanOut:
 
     def test_worker_pool_agrees_with_serial(self):
         serial = SweepRunner(max_workers=1).run(self._sweep())
-        pooled = SweepRunner(max_workers=3, executor="thread").run(self._sweep())
+        pooled = SweepRunner(max_workers=3).run(self._sweep())
         assert np.array_equal(serial.output(), pooled.output())
 
     def _mna_sweep(self, n_points=5, options=None):
@@ -600,9 +600,7 @@ class TestSimulatedFanOut:
 
     def test_chunked_pool_agrees_with_serial_mna(self):
         serial = SweepRunner(max_workers=1).run(self._mna_sweep())
-        pooled = SweepRunner(max_workers=3, executor="thread").run(
-            self._mna_sweep()
-        )
+        pooled = SweepRunner(max_workers=3).run(self._mna_sweep())
         assert np.array_equal(serial.output(), pooled.output())
 
     def test_chunk_partition_covers_all_points_in_order(self):

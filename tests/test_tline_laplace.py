@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import doctest
 import math
 import tracemalloc
 
@@ -13,17 +14,7 @@ from hypothesis import strategies as st
 from repro.core.simulate import simulated_step_waveform
 from repro.errors import ParameterError
 from repro.tline import laplace
-from repro.tline.laplace import (
-    InversionMethod,
-    dehoog,
-    euler,
-    invert_laplace,
-    step_response,
-    talbot,
-)
-
-METHODS = [talbot, euler, dehoog]
-METHOD_IDS = ["talbot", "euler", "dehoog"]
+from repro.tline.laplace import dehoog, step_response
 
 TIMES = np.array([0.05, 0.3, 1.0, 2.5, 6.0])
 
@@ -46,18 +37,16 @@ def transform_pairs():
 
 
 class TestAnalyticPairs:
-    @pytest.mark.parametrize("method", METHODS, ids=METHOD_IDS)
+    @pytest.mark.parametrize("method", [dehoog], ids=["dehoog"])
     @pytest.mark.parametrize("pair_index", range(5))
     def test_pair(self, method, pair_index):
         F, f = transform_pairs()[pair_index]
         # de Hoog shares one Fourier window across all times, so its
         # resolution at t << max(t) is bounded by T/(2M); keep the sweep
-        # within ~1.5 decades for the shared-window method.
-        times = TIMES[1:] if method is dehoog else TIMES
+        # within ~1.5 decades.
+        times = TIMES[1:]
         got = method(F, times)
-        expected = f(times)
-        tolerance = 2e-5 if method is dehoog else 1e-6
-        assert np.allclose(got, expected, atol=tolerance, rtol=1e-4)
+        assert np.allclose(got, f(times), atol=2e-5, rtol=1e-4)
 
     def test_dehoog_early_time_with_matched_window(self):
         """Early times are accurate when the window matches them."""
@@ -65,7 +54,7 @@ class TestAnalyticPairs:
         got = dehoog(F, np.array([0.05, 0.1]), M=40)
         assert np.allclose(got, f(np.array([0.05, 0.1])), atol=1e-6)
 
-    @pytest.mark.parametrize("method", METHODS, ids=METHOD_IDS)
+    @pytest.mark.parametrize("method", [dehoog], ids=["dehoog"])
     def test_scalar_time(self, method):
         got = method(lambda s: 1.0 / (s + 1.0), 1.0)
         assert got.shape == (1,)
@@ -88,23 +77,19 @@ class TestDelayedStep:
 class TestValidation:
     def test_rejects_zero_time(self):
         with pytest.raises(ParameterError, match="positive times"):
-            talbot(lambda s: 1 / s, [0.0, 1.0])
+            dehoog(lambda s: 1 / s, [0.0, 1.0])
 
     def test_rejects_negative_time(self):
         with pytest.raises(ParameterError):
-            euler(lambda s: 1 / s, [-1.0])
+            dehoog(lambda s: 1 / s, [-1.0])
 
     def test_rejects_2d_times(self):
         with pytest.raises(ParameterError, match="1-D"):
             dehoog(lambda s: 1 / s, np.ones((2, 2)))
 
-    def test_talbot_rejects_tiny_order(self):
+    def test_dehoog_rejects_tiny_order(self):
         with pytest.raises(ParameterError, match="M >= 2"):
-            talbot(lambda s: 1 / s, [1.0], M=1)
-
-    def test_euler_rejects_large_order(self):
-        with pytest.raises(ParameterError, match="1 <= M <= 26"):
-            euler(lambda s: 1 / s, [1.0], M=40)
+            dehoog(lambda s: 1 / s, [1.0], M=1)
 
     def test_dehoog_rejects_bad_period(self):
         with pytest.raises(ParameterError, match="period_factor"):
@@ -127,25 +112,32 @@ class TestValidation:
 
     def test_rejects_nonfinite_times(self):
         with pytest.raises(ParameterError):
-            talbot(lambda s: 1 / s, [np.nan])
+            dehoog(lambda s: 1 / s, [np.nan])
 
 
 class TestDispatcher:
-    def test_by_enum(self):
-        got = invert_laplace(lambda s: 1 / (s + 2), [1.0], InversionMethod.EULER)
-        assert np.isclose(got[0], np.exp(-2.0), atol=1e-8)
+    """``step_response`` reaches de Hoog through the ``_METHODS`` entry."""
 
-    def test_by_string(self):
-        got = invert_laplace(lambda s: 1 / (s + 2), [1.0], "talbot")
-        assert np.isclose(got[0], np.exp(-2.0), atol=1e-6)
+    def test_kwargs_forwarded(self, monkeypatch):
+        seen = {}
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            invert_laplace(lambda s: 1 / s, [1.0], "simpson")
+        def spy(F, times, **kwargs):
+            seen.update(kwargs)
+            return dehoog(F, times, **kwargs)
 
-    def test_kwargs_forwarded(self):
-        got = invert_laplace(lambda s: 1 / (s + 1), [1.0], "dehoog", M=25)
-        assert np.isclose(got[0], np.exp(-1.0), atol=1e-4)
+        monkeypatch.setitem(laplace._METHODS, "dehoog", spy)
+        got = step_response(lambda s: 1 / (s + 1), [1.0], M=25)
+        assert seen == {"M": 25}
+        assert np.isclose(got[0], 1.0 - np.exp(-1.0), atol=1e-4)
+
+    def test_docstring_example(self):
+        """The ``dehoog`` docstring example runs and holds at 1e-8."""
+        finder = doctest.DocTestFinder()
+        runner = doctest.DocTestRunner()
+        for test in finder.find(dehoog, "dehoog", globs={"dehoog": dehoog}):
+            runner.run(test)
+        assert runner.tries >= 3
+        assert runner.failures == 0
 
 
 class TestStepResponse:
@@ -164,6 +156,12 @@ class TestStepResponse:
         with pytest.raises(ParameterError, match="non-negative"):
             step_response(lambda s: 1.0 / (1.0 + s), [-0.1, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_times(self, bad):
+        # A NaN time used to fail the t > 0 split and read initial_value.
+        with pytest.raises(ParameterError, match="finite"):
+            step_response(lambda s: 1.0 / (1.0 + s), [bad, 1.0])
+
 
 class TestLinearity:
     @settings(max_examples=25, deadline=None)
@@ -173,11 +171,11 @@ class TestLinearity:
         c=st.floats(min_value=-5, max_value=5),
         d=st.floats(min_value=0.1, max_value=4.0),
     )
-    def test_euler_linear_combination(self, a, b, c, d):
+    def test_dehoog_linear_combination(self, a, b, c, d):
         """Inversion is linear: invert(a*F1 + c*F2) = a*f1 + c*f2."""
         F = lambda s: a / (s + b) + c / (s + d)
         t = np.array([0.4, 1.3])
-        got = euler(F, t)
+        got = dehoog(F, t)
         expected = a * np.exp(-b * t) + c * np.exp(-d * t)
         assert np.allclose(got, expected, atol=1e-7, rtol=1e-6)
 
